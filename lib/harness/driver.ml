@@ -58,13 +58,17 @@ struct
           op_to_list = Hs.to_list s;
         }
 
+  (* No other thread exists yet, so the concurrent protocol would only
+     cost barriers: the whole fill is one serial-irrevocable transaction. *)
   let populate t ops (spec : Workload.spec) =
-    let g = Tstm_util.Xrand.create spec.Workload.seed in
-    let inserted = ref 0 in
-    while !inserted < spec.Workload.initial_size do
-      let v = 1 + Tstm_util.Xrand.int g spec.Workload.key_range in
-      if T.atomically t (fun tx -> ops.op_add tx v) then incr inserted
-    done
+    Tstm_tm.Tm_intf.serially (fun () ->
+        T.atomically t (fun tx ->
+            let g = Tstm_util.Xrand.create spec.Workload.seed in
+            let inserted = ref 0 in
+            while !inserted < spec.Workload.initial_size do
+              let v = 1 + Tstm_util.Xrand.int g spec.Workload.key_range in
+              if ops.op_add tx v then incr inserted
+            done))
 
   (* Per-thread workload-pattern context: the key sampler plus this thread's
      role under the pattern.  For [Uniform] the sampler consumes the

@@ -23,7 +23,15 @@ module Make
   (** Allocate the requested structure in the instance's memory. *)
 
   val populate : T.t -> ops -> Workload.spec -> unit
-  (** Deterministically fill the structure to [spec.initial_size]. *)
+  (** Deterministically fill the structure to [spec.initial_size]: draw
+      keys from [spec.seed] and insert until that many inserts succeeded.
+      The fill is one transaction inside {!Tstm_tm.Tm_intf.serially}, so
+      it runs on the STM's serial-irrevocable path: call it before any
+      other thread transacts on [t].  The structure and [live_words] are
+      those of one transaction per key.  It commits once, counts no
+      escalation and masks injected faults.  An exception from the fill (a
+      [Tm_intf.Capacity] on a too-small arena) keeps the keys inserted so
+      far and is not retried: treat it as fatal for the instance. *)
 
   type thread_ctx
   (** Per-thread workload-pattern context: the key sampler plus this

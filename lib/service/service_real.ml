@@ -115,10 +115,11 @@ let run_packed (module M : BR.STM) spec =
   in
   let memory_words = Workload.memory_words_for wspec * (spec.shards + 1) in
   let t = M.create ~memory_words () in
-  (* Structure setup, population and (later) the drain run on the
-     orchestrator with injection masked: a caller may arm the fault plan
-     around the whole run, but the service's fault surface is the request
-     path, not setup or the integrity audit. *)
+  (* Structure setup and (later) the drain run on the orchestrator with
+     injection masked: a caller may arm the fault plan around the whole
+     run, but the service's fault surface is the request path, not setup
+     or the integrity audit.  Population masks injection by itself (it
+     runs on the serial-irrevocable path). *)
   let masked f =
     let tid = R.tid () in
     Fault.mask ~tid;
@@ -129,7 +130,7 @@ let run_packed (module M : BR.STM) spec =
         Array.init spec.shards (fun _ -> D.make_structure t spec.structure))
   in
   let live_skel = M.live_words t in
-  masked (fun () -> Array.iter (fun ops -> D.populate t ops wspec) opss);
+  Array.iter (fun ops -> D.populate t ops wspec) opss;
   let requests = make_requests spec in
   let offered = List.length requests in
   let queues =

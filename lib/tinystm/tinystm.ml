@@ -1155,17 +1155,20 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       end
       end
     (* Retry budget exhausted: re-run the transaction serially and
-       irrevocably inside the quiescence fence.  No transaction is in
-       flight once the fence is held, so the body reads and writes memory
-       directly, acquires no locks, and cannot abort â pathological
-       workloads degrade to serial execution instead of livelocking. *)
+       irrevocably, so pathological workloads degrade to serial execution
+       instead of livelocking. *)
     and escalate tries =
       d.stats.Stats.escalations <- d.stats.Stats.escalations + 1;
       if obs_on () then emit (Obs.Event.Tx_escalate { retries = tries });
-      (* The serial-irrevocable path cannot be rolled back, so injected
-         faults are masked for its duration (the mask is per-thread and
-         depth-counted; [Fun.protect] guarantees the unmask even when the
-         body raises). *)
+      serial tries
+    (* The serial-irrevocable body, shared by escalation and the
+       [Tm_intf.serially] scope.  No transaction is in flight once the
+       quiescence fence is held, so the body reads and writes memory
+       directly, acquires no locks, and cannot abort.  Nor can it be
+       rolled back, so injected faults are masked for its duration (the
+       mask is per-thread and depth-counted; [Fun.protect] guarantees the
+       unmask even when the body raises). *)
+    and serial tries =
       Fault.mask ~tid:d.tid;
       Fun.protect ~finally:(fun () -> Fault.unmask ~tid:d.tid) @@ fun () ->
       fence_and t (fun () ->
@@ -1250,7 +1253,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
               cleanup d;
               raise e)
     in
-    attempt 0
+    if Intf.in_serial_scope () then serial 0 else attempt 0
 
   let atomically ?read_only t f = fst (atomically_stamped ?read_only t f)
 

@@ -753,14 +753,18 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
           leave_fence t d;
           raise e
       end
-    (* Retry budget exhausted: re-run serially and irrevocably inside the
-       quiescence fence (no transaction in flight, direct memory access, no
-       locks, cannot abort). *)
+    (* Retry budget exhausted: re-run serially and irrevocably. *)
     and escalate tries =
       d.stats.Stats.escalations <- d.stats.Stats.escalations + 1;
       if obs_on () then emit (Obs.Event.Tx_escalate { retries = tries });
-      (* The serial-irrevocable path cannot be rolled back: mask injected
-         faults for its duration ([Fun.protect] guarantees the unmask). *)
+      serial tries
+    (* The serial-irrevocable body, shared by escalation and the
+       [Tm_intf.serially] scope: inside the quiescence fence no
+       transaction is in flight, so memory is accessed directly, no locks
+       are taken and the body cannot abort.  Nor can it be rolled back:
+       injected faults are masked for its duration ([Fun.protect]
+       guarantees the unmask). *)
+    and serial tries =
       Fault.mask ~tid:d.tid;
       Fun.protect ~finally:(fun () -> Fault.unmask ~tid:d.tid) @@ fun () ->
       fence_and t (fun () ->
@@ -819,7 +823,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
               cleanup d;
               raise e)
     in
-    attempt 0
+    if Intf.in_serial_scope () then serial 0 else attempt 0
 
   let read tx addr = read_word tx.owner_t tx addr
   let write tx addr v = write_word tx.owner_t tx addr v

@@ -73,6 +73,32 @@ let () =
              retries)
     | _ -> None)
 
+(** {1 Serial scope}
+
+    [serially f] runs [f] with the calling domain inside a serial scope:
+    every {!TM.atomically} it starts takes its STM's serial-irrevocable
+    path (the body the [max_retries] escalation runs) instead of the
+    concurrent protocol.  That path holds the quiescence fence, accesses
+    memory words directly, keeps no read or write set and cannot abort, so
+    a single-threaded bulk load costs what a sequential build costs.  It
+    is not an escalation: [stats.escalations] stays untouched and no
+    [Tx_escalate] event is emitted.  Injected faults are masked, and
+    writes made before an exception stay (nothing is rolled back).
+
+    The scope is per domain and is restored on exit, also when [f]
+    raises, so scopes nest.  It is a set-up tool: a simulated thread that
+    enters it inside a run puts every thread of that domain in it. *)
+
+let serial_scope = Domain.DLS.new_key (fun () -> ref false)
+
+let in_serial_scope () = !(Domain.DLS.get serial_scope)
+
+let serially f =
+  let cur = Domain.DLS.get serial_scope in
+  let saved = !cur in
+  cur := true;
+  Fun.protect ~finally:(fun () -> cur := saved) f
+
 module type TM = sig
   type t
   (** An STM instance bound to a memory arena. *)

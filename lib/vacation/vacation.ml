@@ -200,19 +200,20 @@ module Make (T : Tstm_tm.Tm_intf.TM) = struct
   (* ------------------------------------------------------------------ *)
 
   let populate (t : t) (spec : spec) ~seed =
-    let g = Tstm_util.Xrand.create seed in
     let t : t =
       { t with n_relations = spec.n_relations; n_customers = spec.n_customers }
     in
-    for id = 1 to spec.n_relations do
-      List.iter
-        (fun tbl ->
-          T.atomically t.stm (fun tx ->
-              add_resource t tx tbl id
-                (100 * (1 + Tstm_util.Xrand.int g 5))
-                (50 + Tstm_util.Xrand.int g 450)))
-        [ Car; Flight; Room ]
-    done;
+    Tstm_tm.Tm_intf.serially (fun () ->
+        T.atomically t.stm (fun tx ->
+            let g = Tstm_util.Xrand.create seed in
+            for id = 1 to spec.n_relations do
+              List.iter
+                (fun tbl ->
+                  add_resource t tx tbl id
+                    (100 * (1 + Tstm_util.Xrand.int g 5))
+                    (50 + Tstm_util.Xrand.int g 450))
+                [ Car; Flight; Room ]
+            done));
     t
 
   (* One client transaction, drawn from the configured mix. *)

@@ -44,7 +44,11 @@ module Make (T : Tstm_tm.Tm_intf.TM) : sig
 
   val create : T.t -> t
   val populate : t -> spec -> seed:int -> t
-  (** Fill all three resource tables with randomly priced capacity. *)
+  (** Fill all three resource tables with randomly priced capacity, as
+      one transaction inside {!Tstm_tm.Tm_intf.serially} (see
+      [Driver.populate]): call it before any other thread transacts on the
+      instance.  An exception from the load keeps what was written so far
+      and is not retried: treat it as fatal for the instance. *)
 
   (** {1 Manager operations} (run inside a caller transaction) *)
 

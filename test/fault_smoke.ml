@@ -71,11 +71,13 @@ let sweep () =
     [ "crash"; "hang"; "oom" ];
   Printf.printf "fault-smoke: sweep healed all %d runs\n%!" (Array.length specs)
 
-(* One crash, capped by [limit:1], landing inside a timed repetition.  The
-   populate phase runs under the same armed plan, so some seeds spend the
-   crash there (it then escapes [run_cell]); retry seeds until one lands in
-   a repetition.  The crashed repetition must surface as a typed
-   [failed_reps] entry — never abort the remaining repetitions. *)
+(* One crash, capped by [limit:1], landing inside a timed repetition.
+   Set-up runs under the same armed plan.  Population masks faults (it is
+   one serial-irrevocable transaction), but [make_structure]'s transaction
+   does not, so some seeds spend the crash there (it then escapes
+   [run_cell]); retry seeds until one lands in a repetition.  The crashed
+   repetition must surface as a typed [failed_reps] entry — never abort
+   the remaining repetitions. *)
 let bench_failed_rep () =
   let proto =
     { BR.duration_s = 0.03; warmup_s = 0.0; reps = 3; observe = false }
@@ -94,7 +96,7 @@ let bench_failed_rep () =
       let outcome =
         match BR.run_cell { req with BR.seed = s } proto with
         | r -> Some r
-        | exception Fault.Injected_crash _ -> None (* spent during populate *)
+        | exception Fault.Injected_crash _ -> None (* spent in make_structure *)
       in
       Fault.deactivate ();
       match outcome with

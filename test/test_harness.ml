@@ -275,6 +275,166 @@ let test_configure_capability_error () =
   M.configure t Intf.default_tuning
 
 (* ------------------------------------------------------------------ *)
+(* Bulk population and the serial scope                               *)
+(* ------------------------------------------------------------------ *)
+
+module Fault = Tstm_fault.Fault
+module San = Tstm_san.San
+
+let structures = [ W.List; W.Rbtree; W.Skiplist; W.Hashset ]
+
+(* A contended spec, so the runs after population abort as well as commit
+   and the comparison below covers the conflict paths. *)
+let bulk_spec structure =
+  tiny ~structure ~size:128 ~updates:50.0 ~threads:4 ~duration:0.0005 ()
+
+(* [Driver.populate] runs the fill as one serial-irrevocable transaction.
+   The oracle is the fill it replaced: one concurrent-protocol transaction
+   per drawn key.  Both must build the same structure in the same words,
+   and the timed run after them must take the same decisions, so commits,
+   aborts and reads agree exactly. *)
+let test_bulk_matches_per_key () =
+  let total_aborts = ref 0 in
+  List.iter
+    (fun stm ->
+      let (module M) = Registry.get stm in
+      let module D = Tstm_harness.Driver.Make (R) (M) in
+      let per_key t ops (spec : W.spec) =
+        let g = Tstm_util.Xrand.create spec.W.seed in
+        let inserted = ref 0 in
+        while !inserted < spec.W.initial_size do
+          let v = 1 + Tstm_util.Xrand.int g spec.W.key_range in
+          if M.atomically t (fun tx -> ops.D.op_add tx v) then incr inserted
+        done
+      in
+      List.iter
+        (fun structure ->
+          let spec = bulk_spec structure in
+          let build populate =
+            let t = M.create ~memory_words:(W.memory_words_for spec) () in
+            let ops = D.make_structure t structure in
+            populate t ops spec;
+            let keys = M.atomically t (fun tx -> ops.D.op_to_list tx) in
+            let live = M.live_words t in
+            let r, _ = D.run t ops spec in
+            (keys, live, r)
+          in
+          let keys_b, live_b, r_b = build D.populate in
+          let keys_k, live_k, r_k = build per_key in
+          let what = stm ^ " " ^ W.structure_to_string structure in
+          Alcotest.(check (list int)) (what ^ " keys") keys_k keys_b;
+          check_int (what ^ " live words") live_k live_b;
+          check_int (what ^ " commits") r_k.W.commits r_b.W.commits;
+          check_int (what ^ " aborts") r_k.W.aborts r_b.W.aborts;
+          check_int (what ^ " reads") r_k.W.stats.Tstm_tm.Tm_stats.reads
+            r_b.W.stats.Tstm_tm.Tm_stats.reads;
+          total_aborts := !total_aborts + r_b.W.aborts)
+        structures)
+    S.all_stms;
+  check_bool "the compared runs include aborts" true (!total_aborts > 0)
+
+let test_populate_one_commit () =
+  List.iter
+    (fun stm ->
+      let (module M) = Registry.get stm in
+      let module D = Tstm_harness.Driver.Make (R) (M) in
+      let spec = tiny ~structure:W.Rbtree ~size:256 () in
+      let t = M.create ~memory_words:(W.memory_words_for spec) () in
+      let ops = D.make_structure t spec.W.structure in
+      M.reset_stats t;
+      D.populate t ops spec;
+      let st = M.stats t in
+      check_int (stm ^ ": one commit") 1 st.Tstm_tm.Tm_stats.commits;
+      check_int (stm ^ ": no abort") 0 (Tstm_tm.Tm_stats.aborts st);
+      check_int (stm ^ ": not an escalation") 0
+        st.Tstm_tm.Tm_stats.escalations)
+    S.all_stms
+
+(* Every transaction crashes under this plan, except on the serial path,
+   which masks faults: whether a transaction crashes tells which path it
+   took. *)
+let crash_all =
+  { Fault.crash_pct = 100.0; hang_pct = 0.0; hang_us = 1; oom_pct = 0.0 }
+
+let test_scope_nests () =
+  List.iter
+    (fun stm ->
+      let (module M) = Registry.get stm in
+      let t = M.create ~memory_words:64 () in
+      let serial () =
+        match M.atomically t (fun tx -> M.read tx 1) with
+        | _ -> true
+        | exception Fault.Injected_crash _ -> false
+      in
+      Fault.with_plan ~config:crash_all ~seed:1 (fun () ->
+          check_bool (stm ^ ": outside, concurrent") false (serial ());
+          Intf.serially (fun () ->
+              check_bool (stm ^ ": outer scope") true (serial ());
+              Intf.serially (fun () ->
+                  check_bool (stm ^ ": inner scope") true (serial ()));
+              check_bool (stm ^ ": outer scope after inner") true
+                (serial ()));
+          check_bool (stm ^ ": after both, concurrent") false (serial ())))
+    S.all_stms;
+  check_bool "scope closed" false (Intf.in_serial_scope ())
+
+(* A raising body leaves the scope (and the fault mask) as they were, and
+   keeps its direct writes: the serial path has nothing to roll back. *)
+let test_scope_restored_on_raise () =
+  List.iter
+    (fun stm ->
+      let (module M) = Registry.get stm in
+      let module D = Tstm_harness.Driver.Make (R) (M) in
+      let t = M.create ~memory_words:4096 () in
+      let ops = D.make_structure t W.List in
+      (match
+         Intf.serially (fun () ->
+             M.atomically t (fun tx ->
+                 ignore (ops.D.op_add tx 7);
+                 raise Exit))
+       with
+      | () -> Alcotest.fail (stm ^ ": body did not raise")
+      | exception Exit -> ());
+      check_bool (stm ^ ": scope restored") false (Intf.in_serial_scope ());
+      check_bool (stm ^ ": direct write stayed") true
+        (M.atomically t (fun tx -> ops.D.op_contains tx 7));
+      Fault.with_plan ~config:crash_all ~seed:1 (fun () ->
+          match M.atomically t (fun tx -> ops.D.op_contains tx 7) with
+          | _ -> Alcotest.fail (stm ^ ": fault mask leaked past the scope")
+          | exception Fault.Injected_crash _ -> ()))
+    S.all_stms
+
+(* The serial path's direct writes must reach the timed run ordered and
+   published like any commit: the sanitizer sees the bulk fill and a short
+   concurrent run after it, and must find nothing. *)
+let test_bulk_populate_san_clean () =
+  List.iter
+    (fun stm ->
+      let (module M) = Registry.get stm in
+      let module D = Tstm_harness.Driver.Make (R) (M) in
+      List.iter
+        (fun structure ->
+          let spec =
+            tiny ~structure ~size:64 ~updates:50.0 ~threads:2
+              ~duration:0.0002 ()
+          in
+          let r, fs =
+            San.with_armed ~ncpus:2 (fun () ->
+                let t = M.create ~memory_words:(W.memory_words_for spec) () in
+                let ops = D.make_structure t structure in
+                D.populate t ops spec;
+                fst (D.run t ops spec))
+          in
+          let what = stm ^ " " ^ W.structure_to_string structure in
+          check_bool (what ^ " ran") true (r.W.commits > 0);
+          check_bool
+            (Printf.sprintf "%s san-clean [%s]" what
+               (String.concat "; " (List.map San.render fs)))
+            true (fs = []))
+        structures)
+    S.all_stms
+
+(* ------------------------------------------------------------------ *)
 (* Figures smoke                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -360,6 +520,18 @@ let () =
           Alcotest.test_case "require" `Quick test_registry_require;
           Alcotest.test_case "configure capability error" `Quick
             test_configure_capability_error;
+        ] );
+      ( "bulk population",
+        [
+          Alcotest.test_case "bulk = per-key, run unchanged" `Quick
+            test_bulk_matches_per_key;
+          Alcotest.test_case "one commit, no escalation" `Quick
+            test_populate_one_commit;
+          Alcotest.test_case "scopes nest" `Quick test_scope_nests;
+          Alcotest.test_case "scope restored on raise" `Quick
+            test_scope_restored_on_raise;
+          Alcotest.test_case "san-clean after bulk populate" `Quick
+            test_bulk_populate_san_clean;
         ] );
       ( "figures",
         [ Alcotest.test_case "all figures smoke" `Slow test_every_figure_smokes ] );
