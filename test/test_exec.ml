@@ -216,6 +216,106 @@ let test_pinned_tune_digest () =
     (digest rendered)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned golden digests: the non-default paths                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The digests above only cover TinySTM under the default contention
+   manager.  These pin the rest of the transaction lifecycle: TL2 and
+   NOrec, the kill-capable CM policies, the watchdog, serial-irrevocable
+   escalation and both clock roll-over paths.  Any change to the sequence
+   of runtime operations a family performs moves one of them. *)
+
+module Storm = Tstm_harness.Storm
+module R = Tstm_runtime.Runtime_sim
+
+let all_structures = [ W.List; W.Rbtree; W.Skiplist; W.Hashset ]
+
+(* The stdout of `repro stress --seeds 25 --all-stms --all-structures
+   --max-retries 6 --san` for a clean sweep, rendered as the CLI does. *)
+let test_pinned_escalation_stress_digest () =
+  let seeds = 25 and stms = Scenario.all_stms in
+  let base = { St.default with St.max_retries = 6; san = true } in
+  let specs = St.plan ~seeds ~stms ~structures:all_structures base in
+  let res = Plan.execute ~jobs:2 (Array.map (fun s -> Job.Stress_run s) specs) in
+  check_bool "all runs ok" true (Plan.ok res);
+  let sw = St.summarize (stress_pairs specs res) in
+  check_bool "clean sweep" true (sw.St.first_failure = None);
+  check_int "escalations" 1480 sw.St.total_escalations;
+  let stdout =
+    Printf.sprintf
+      "stress: %d runs (%d seeds x %d stm x %d structures), %d ops checked, \
+       %d injections, %d commits, %d aborts, %d escalations\n\
+       zero serializability violations or sanitizer findings\n"
+      sw.St.runs seeds (List.length stms)
+      (List.length all_structures)
+      sw.St.total_events sw.St.total_injected sw.St.total_commits
+      sw.St.total_aborts sw.St.total_escalations
+  in
+  Alcotest.(check string)
+    "escalating stress digest pinned" "5b73f1c8534be8d376f4c8e4563649e3"
+    (digest stdout)
+
+(* Storm reports of every registry STM under suicide with the watchdog
+   armed, and under karma and greedy. *)
+let test_pinned_storm_digest () =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (cm, watchdog) ->
+      List.iter
+        (fun stm ->
+          let r = Storm.run_one { Storm.default with Storm.stm; cm; watchdog } in
+          Buffer.add_string buf
+            (Format.asprintf "%s %-10s %a\n" cm stm Storm.pp_report r))
+        Scenario.all_stms)
+    [ ("suicide", true); ("karma", false); ("greedy", false) ];
+  Alcotest.(check string)
+    "storm digest pinned" "07fa44a2cc621d4a96ecf820110278fb" (digest (Buffer.contents buf))
+
+(* TinySTM with a tiny clock: concurrent transactions roll the clock over
+   through the fence (Rollover aborts and begin-time checks) while
+   escalated ones wrap it inline; a serial scope then wraps it inline on
+   its own. *)
+module TS = Tinystm.Make (R)
+
+let test_pinned_rollover_digest () =
+  let t =
+    TS.create
+      ~config:(Tinystm.Config.make ~n_locks:256 ())
+      ~max_clock:32 ~max_retries:3 ~memory_words:256 ()
+  in
+  let a = TS.atomically t (fun tx -> TS.alloc tx 5) in
+  let bump k tx = TS.write tx (a + k) (TS.read tx (a + k) + 1) in
+  let ends = Array.make 4 0 in
+  (* Private words keep commits flowing (roll-over aborts); a shared word
+     every third transaction drives conflicts into escalation. *)
+  R.run ~nthreads:4 (fun tid ->
+      for i = 1 to 100 do
+        TS.atomically t (fun tx ->
+            bump tid tx;
+            if i mod 3 = 0 then bump 4 tx)
+      done;
+      ends.(tid) <- R.now_cycles ());
+  let concurrent = TS.stats t in
+  let rolled = TS.rollovers t in
+  check_bool "concurrent roll-over aborts" true
+    (concurrent.Tstm_tm.Tm_stats.aborts_rollover > 0);
+  check_bool "escalations" true (concurrent.Tstm_tm.Tm_stats.escalations > 0);
+  Tstm_tm.Tm_intf.serially (fun () ->
+      for _ = 1 to 40 do
+        TS.atomically t (bump 4)
+      done);
+  check_bool "serial roll-over" true (TS.rollovers t > rolled);
+  check_int "every increment landed" 172
+    (TS.atomically t (fun tx -> TS.read tx (a + 4)));
+  let rendered =
+    Printf.sprintf "%s\nend=%d rollovers=%d clock=%d\n"
+      (Tstm_obs.Json.to_string (Tstm_tm.Tm_stats.to_json (TS.stats t)))
+      (Array.fold_left max 0 ends) (TS.rollovers t) (TS.clock_value t)
+  in
+  Alcotest.(check string) "roll-over digest pinned" "eed303d7916069ca6de9baabedce3463"
+    (digest rendered)
+
+(* ------------------------------------------------------------------ *)
 (* Crash recovery: a SIGKILLed worker is requeued, output unchanged    *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,5 +369,11 @@ let () =
             test_pinned_ablation_digest;
           Alcotest.test_case "pinned digest: tuner trace" `Quick
             test_pinned_tune_digest;
+          Alcotest.test_case "pinned digest: escalating stress, all STMs"
+            `Quick test_pinned_escalation_stress_digest;
+          Alcotest.test_case "pinned digest: CM storms, all STMs" `Quick
+            test_pinned_storm_digest;
+          Alcotest.test_case "pinned digest: TinySTM roll-over" `Quick
+            test_pinned_rollover_digest;
         ] );
     ]
