@@ -1,10 +1,11 @@
 (* Wall-clock benchmark harness over the real-hardware runtime.
 
-   Mirrors [Scenario]'s STM packaging (TinySTM per write strategy, TL2)
-   but instantiated over [Runtime_real], and drives [Driver.step] — the
-   exact paper mix the simulator measures — under a Synchrobench-style
-   protocol: a warmup phase, then [reps] fixed-duration timed repetitions
-   against one long-lived structure, timed with the monotonic clock.
+   Runs the [Runtime_real] instance of every registry STM ([Packaging]:
+   TinySTM write-back and write-through, TL2, NOrec), resolved by name or
+   alias through the registry, and drives [Driver.step] — the exact paper
+   mix the simulator measures — under a Synchrobench-style protocol: a
+   warmup phase, then [reps] fixed-duration timed repetitions against one
+   long-lived structure, timed with the monotonic clock.
 
    Every counted operation is exactly one [atomically] (one commit), so a
    run carries machine-checkable integrity: total commits must equal total
@@ -20,129 +21,25 @@ module Bench = Tstm_obs.Bench
 module Sink = Tstm_obs.Sink
 module Stats = Tstm_tm.Tm_stats
 module Intf = Tstm_tm.Tm_intf
-module Config = Tinystm.Config
-
-module Ts = Tinystm.Make (R)
-module Tl = Tstm_tl2.Tl2.Make (R)
-module No = Tstm_norec.Norec.Make (R)
 
 (* Histogram notes carry no cpu argument; the sharded sink asks this hook
    for the recording domain's shard.  Runtime_real's tids are dense and
    bounded by the thread count, so they index shards directly. *)
 let () = Sink.set_domain_id R.tid
 
-(* A packaged STM over the real runtime.  [Intf.STM] carries [live_words]
-   (the allocator diagnostic the integrity check needs) since PR 7, so no
-   local signature extension remains. *)
 module type STM = Intf.STM
 
-let config_of_tuning strategy (tu : Intf.tuning) =
-  Config.make ~n_locks:tu.Intf.n_locks ~shifts:tu.Intf.shifts
-    ~hierarchy:tu.Intf.hierarchy ~hierarchy2:tu.Intf.hierarchy2 ~strategy ()
+module Registry = Tstm_tm.Registry
+module Pk = Packaging.Make (R)
 
-module Tinystm_packed (Strategy : sig
-  val name : string
-  val strategy : Config.strategy
-end) : STM = struct
-  include Ts
-
-  let name = Strategy.name
-  let family = "tinystm"
-
-  let capabilities =
-    {
-      Intf.lock_array = true;
-      dynamic_reconfig = true;
-      read_only_fastpath = true;
-      snapshot_extension = true;
-    }
-
-  let create ?(tuning = Intf.default_tuning) ?max_retries ?cm ?watchdog
-      ~memory_words () =
-    Ts.create
-      ~config:(config_of_tuning Strategy.strategy tuning)
-      ?max_retries ?cm ?watchdog ~memory_words ()
-
-  let configure t tuning =
-    Ts.set_config t (config_of_tuning Strategy.strategy tuning)
-
-  let live_words t = V.live_words (Ts.memory t)
-end
-
-module Stm_wb = Tinystm_packed (struct
-  let name = "tinystm-wb"
-  let strategy = Config.Write_back
-end)
-
-module Stm_wt = Tinystm_packed (struct
-  let name = "tinystm-wt"
-  let strategy = Config.Write_through
-end)
-
-module Stm_tl2 : STM = struct
-  include Tl
-
-  let family = "tl2"
-
-  let capabilities =
-    {
-      Intf.lock_array = true;
-      dynamic_reconfig = false;
-      read_only_fastpath = true;
-      snapshot_extension = false;
-    }
-
-  let create ?(tuning = Intf.default_tuning) ?max_retries ?cm ?watchdog
-      ~memory_words () =
-    Tl.create ~n_locks:tuning.Intf.n_locks ~shifts:tuning.Intf.shifts
-      ?max_retries ?cm ?watchdog ~memory_words ()
-
-  let configure _ _ =
-    Intf.capability_error ~stm:"tl2" ~capability:"dynamic_reconfig"
-
-  let live_words t = V.live_words (Tl.memory t)
-end
-
-module Stm_norec : STM = struct
-  include No
-
-  let family = "norec"
-
-  let capabilities =
-    {
-      Intf.lock_array = false;
-      dynamic_reconfig = false;
-      read_only_fastpath = true;
-      snapshot_extension = true;
-    }
-
-  let create ?tuning:_ ?max_retries ?cm ?watchdog ~memory_words () =
-    No.create ?max_retries ?cm ?watchdog ~memory_words ()
-
-  let configure _ _ =
-    Intf.capability_error ~stm:"norec" ~capability:"dynamic_reconfig"
-
-  let live_words t = V.live_words (No.memory t)
-end
-
-let stms =
-  [
-    ("tinystm-wb", [ "wb" ], (module Stm_wb : STM));
-    ("tinystm-wt", [ "wt" ], (module Stm_wt : STM));
-    ("tl2", [], (module Stm_tl2 : STM));
-    ("norec", [], (module Stm_norec : STM));
-  ]
-
-let stm_names = List.map (fun (n, _, _) -> n) stms
+let stm_names = Scenario.all_stms
 
 let find_stm name =
-  let matches (canon, aliases, _) = canon = name || List.mem name aliases in
-  match List.find_opt matches stms with
-  | Some (canon, _, m) -> Ok (canon, m)
-  | None ->
-      Error
-        (Printf.sprintf "unknown STM %S (known: %s)" name
-           (String.concat ", " stm_names))
+  Result.bind (Registry.resolve name) (fun (e : Registry.entry) ->
+      match Pk.find e.name with
+      | Some m -> Ok (e.name, m)
+      | None ->
+          Error (Printf.sprintf "STM %S has no real-runtime packaging" e.name))
 
 type protocol = {
   duration_s : float;

@@ -19,16 +19,16 @@
     (Vacation instead runs its transactional consistency audit). *)
 
 val stm_names : string list
-(** Canonical STM names available on the real runtime
-    (["tinystm-wb"], ["tinystm-wt"], ["tl2"], ["norec"]); the aliases
-    ["wb"] and ["wt"] also resolve. *)
+(** The registry's canonical names, {!Scenario.all_stms}
+    (["tinystm-wb"], ["tinystm-wt"], ["tl2"], ["norec"]). *)
 
-(** A packaged STM over {!Tstm_runtime.Runtime_real} — the real-runtime
-    analogue of the registry's simulated packagings. *)
+(** A packaged STM over {!Tstm_runtime.Runtime_real}: the real-runtime
+    instance of a {!Packaging} entry. *)
 module type STM = Tstm_tm.Tm_intf.STM
 
 val find_stm : string -> (string * (module STM), string) result
-(** Resolve a name or alias to its canonical name and packaged module
+(** Resolve a name or alias through {!Tstm_tm.Registry} to its canonical
+    name and the {!Tstm_runtime.Runtime_real} instance of that entry
     (shared by the bench cells, the fault sweep driver and the real-domain
     service). *)
 

@@ -2,10 +2,10 @@
     (STM implementation, workload) pair.  All the figure drivers build on
     these.
 
-    Loading this module registers the packaged STM implementations —
-    ["tinystm-wb"] (alias ["wb"]), ["tinystm-wt"] (alias ["wt"]), ["tl2"]
-    and ["norec"] — in {!Tstm_tm.Registry}; every [~stm] argument below is
-    a registry name or alias. *)
+    Loading this module registers the simulated-runtime instances of the
+    {!Packaging} entries — ["tinystm-wb"] (alias ["wb"]), ["tinystm-wt"]
+    (alias ["wt"]), ["tl2"] and ["norec"] — in {!Tstm_tm.Registry}; every
+    [~stm] argument below is a registry name or alias. *)
 
 module R = Tstm_runtime.Runtime_sim
 module Ts : module type of Tinystm.Make (R)

@@ -1,14 +1,15 @@
 (** STM-protocol rules over the intra-module call graph and the library
     DAG:
 
-    - [stm-lock-pairing] (lib/tinystm, lib/tl2): every entry point (a
-      function no other function in the module references) from which an
-      orec acquire ([San.lock_acquire]) is reachable must also reach a
-      release ([San.lock_release]) or an abort ([San.tx_abort] /
-      [Abort_exn]).
-    - [vmm-charge] (lib/tinystm, lib/tl2, lib/structures): raw Vmm word
-      accesses ([V.load]/[V.store]) are only reachable from entry points
-      that charge Sim_sched cycles.
+    - [stm-lock-pairing] (lib/engine and the three families): every entry
+      point (a function no other function in the module references) from
+      which an orec or sequence-lock acquire ([San.lock_acquire],
+      [Tap.seqlock_acquire]) is reachable must also reach a release
+      ([San.lock_release], [Tap.seqlock_release]) or an abort
+      ([San.tx_abort] / [Abort_exn]).
+    - [vmm-charge] (lib/engine, the three families, lib/structures): raw
+      Vmm word accesses ([V.load]/[V.store]) are only reachable from entry
+      points that charge Sim_sched cycles.
     - [tap-pairing] (lib): sanitizer/tap producer hooks come in pairs per
       module (acquire/release, tx_begin/tx_exit, fence entry/exit,
       suspend/resume, vmm_alloc/vmm_free).

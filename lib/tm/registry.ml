@@ -3,11 +3,12 @@
    The registry is the single point of STM dispatch in the repository:
    harness, CLIs and tests resolve an implementation by its canonical name
    (or a short alias) and get back a first-class [(module Tm_intf.STM)].
-   Entries are registered at module-initialisation time by the library that
-   instantiates the implementation over a concrete runtime (see
-   [Tstm_harness.Scenario], which registers tinystm-wb, tinystm-wt, tl2 and
-   norec over the simulated runtime); a binary that links that library sees
-   the entries before [main] runs.
+   The packagings themselves are defined once, over any runtime, in
+   [Tstm_harness.Packaging].  [Tstm_harness.Scenario] registers their
+   simulator instance (tinystm-wb, tinystm-wt, tl2, norec) at
+   module-initialisation time, so a binary that links it sees the entries
+   before [main] runs; [Tstm_harness.Bench_real] resolves names and
+   aliases here and runs the real-domain instance of the same entry.
 
    Family and capability metadata are pulled from the module itself at
    registration, so the registry is also the single source of truth for
@@ -57,10 +58,14 @@ let register ?(aliases = []) ?label (stm : (module Tm_intf.STM)) =
     }
     :: !entries
 
-let unknown name =
-  invalid_arg
-    (Printf.sprintf "unknown STM %S (known: %s)" name
-       (String.concat ", " (names ())))
+let unknown_msg name =
+  Printf.sprintf "unknown STM %S (known: %s)" name
+    (String.concat ", " (names ()))
+
+let unknown name = invalid_arg (unknown_msg name)
+
+let resolve name =
+  match entry_of name with Some e -> Ok e | None -> Error (unknown_msg name)
 
 let find name = Option.map (fun e -> e.stm) (entry_of name)
 

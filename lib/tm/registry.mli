@@ -1,11 +1,12 @@
 (** Name-keyed registry of packaged {!Tm_intf.STM} implementations — the
     single STM dispatch point in the repository.
 
-    Implementations register themselves (typically at module initialisation
-    of the library that instantiates them over a concrete runtime, e.g.
-    [Tstm_harness.Scenario] for the simulated runtime) under a canonical
-    name plus optional short aliases; harness and CLI code resolves either
-    form.  Lookups raise [Invalid_argument] listing the known names, so a
+    [Tstm_harness.Packaging] packages each implementation once, over any
+    runtime; [Tstm_harness.Scenario] registers the simulated-runtime
+    instances at module initialisation, under a canonical name plus
+    optional short aliases, and harness and CLI code resolves either form.
+    The real-domain harness ([Tstm_harness.Bench_real]) resolves names
+    here too and runs the real-runtime instance of the same entry.  Lookups raise [Invalid_argument] listing the known names, so a
     typo in a CLI flag produces an actionable message.
 
     Each entry carries the module's self-declared algorithm [family] and
@@ -31,6 +32,9 @@ val register :
 
 val find : string -> (module Tm_intf.STM) option
 (** Resolve a canonical name or alias; [None] when unknown. *)
+
+val resolve : string -> (entry, string) result
+(** Like {!entry_of}; [Error] carries the message {!get} raises with. *)
 
 val get : string -> (module Tm_intf.STM)
 (** Like {!find}; raises [Invalid_argument] when unknown. *)

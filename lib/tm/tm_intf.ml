@@ -107,7 +107,7 @@ module type TM = sig
   (** An active transaction (valid only inside the [atomically] callback). *)
 
   val name : string
-  (** e.g. ["tinystm-wb"], ["tinystm-wt"], ["tl2"]. *)
+  (** e.g. ["tinystm-wb"], ["tinystm-wt"], ["tl2"], ["norec"]. *)
 
   val read : tx -> int -> int
   (** [read tx addr] transactional load. *)

@@ -1,0 +1,1 @@
+val load_word : int -> int -> int

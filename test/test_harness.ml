@@ -274,6 +274,34 @@ let test_configure_capability_error () =
   let t = M.create ~memory_words:64 () in
   M.configure t Intf.default_tuning
 
+(* Both runtimes package the same entries: the real-domain resolver
+   returns, for every registry name and alias, the same canonical name,
+   family and capabilities as the simulator's registry. *)
+let test_runtime_parity () =
+  let module BReal = Tstm_harness.Bench_real in
+  Alcotest.(check (list string))
+    "stm_names = all_stms" S.all_stms BReal.stm_names;
+  List.iter
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun key ->
+          match BReal.find_stm key with
+          | Error msg -> Alcotest.fail (key ^ ": " ^ msg)
+          | Ok (canon, (module M)) ->
+              Alcotest.(check string) (key ^ " canonical") e.name canon;
+              Alcotest.(check string) (key ^ " name") e.name M.name;
+              Alcotest.(check string) (key ^ " family") e.family M.family;
+              check_bool (key ^ " capabilities") true
+                (M.capabilities = e.capabilities))
+        (e.name :: e.aliases))
+    (Registry.all ());
+  check_bool "unknown names rejected alike" true
+    (BReal.find_stm "no-such-stm"
+    = Error
+        (match Registry.get "no-such-stm" with
+        | exception Invalid_argument msg -> msg
+        | _ -> "resolved"))
+
 (* ------------------------------------------------------------------ *)
 (* Bulk population and the serial scope                               *)
 (* ------------------------------------------------------------------ *)
@@ -520,6 +548,8 @@ let () =
           Alcotest.test_case "require" `Quick test_registry_require;
           Alcotest.test_case "configure capability error" `Quick
             test_configure_capability_error;
+          Alcotest.test_case "real runtime resolves like the registry" `Quick
+            test_runtime_parity;
         ] );
       ( "bulk population",
         [

@@ -75,6 +75,12 @@ let test_exact_lines () =
   expect
     ~path:(corpus ^ "/lib/tinystm/bad_vmm_charge.ml")
     ~line:3 ~rule:"vmm-charge";
+  expect
+    ~path:(corpus ^ "/lib/engine/bad_lock_pairing.ml")
+    ~line:4 ~rule:"stm-lock-pairing";
+  expect
+    ~path:(corpus ^ "/lib/engine/bad_vmm_charge.ml")
+    ~line:3 ~rule:"vmm-charge";
   expect ~path:(corpus ^ "/lib/vmm/bad_layering.ml") ~line:3 ~rule:"layering";
   expect ~path:(corpus ^ "/lib/vmm/dune") ~line:3 ~rule:"layering";
   expect ~path:(corpus ^ "/bin/bad_random_cli.ml") ~line:2
