@@ -72,11 +72,16 @@ let apply model = function
 
 exception Budget
 
-let check ?(window = 48) ?(max_nodes = 500_000) ~final evs =
+type verdict = { message : string; at : int option }
+
+let diagnose ?(window = 48) ?(max_nodes = 500_000) ~final evs =
   let ev = Array.of_list evs in
   let n = Array.length ev in
   let final_set = IS.of_list final in
-  if n = 0 then if IS.is_empty final_set then Ok () else Error "empty history but non-empty final contents"
+  let fail ?at message = Error { message; at } in
+  if n = 0 then
+    if IS.is_empty final_set then Ok ()
+    else fail "empty history but non-empty final contents"
   else begin
     let done_ = Bytes.make n '\000' in
     let memo : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
@@ -161,9 +166,17 @@ let check ?(window = 48) ?(max_nodes = 500_000) ~final evs =
           Buffer.add_string b
             (Printf.sprintf "\n  (all ops linearize but final contents differ: {%s} expected)"
                (String.concat ", " (List.map string_of_int (IS.elements final_set))));
-        Error (Buffer.contents b)
+        let at =
+          match !stuck with
+          | e :: _ -> e.resp
+          | [] -> Array.fold_left (fun m e -> max m e.resp) 0 ev
+        in
+        fail ~at (Buffer.contents b)
     | exception Budget ->
-        Error
+        fail
           (Printf.sprintf "checker budget exceeded (%d nodes, window %d)"
              max_nodes window)
   end
+
+let check ?window ?max_nodes ~final evs =
+  Result.map_error (fun v -> v.message) (diagnose ?window ?max_nodes ~final evs)

@@ -49,3 +49,17 @@ val check :
 
     [Ok ()] means serializable; [Error msg] carries the deepest linearized
     prefix and the operations it got stuck on. *)
+
+type verdict = {
+  message : string;  (** what {!check} returns as its error *)
+  at : int option;
+      (** when the history went wrong: the response time of the first
+          operation (in invocation order) that no extension of the deepest
+          linearized prefix admits or, when every operation linearizes but
+          the final contents differ, the last response time; [None] when
+          the search budget ran out *)
+}
+
+val diagnose :
+  ?window:int -> ?max_nodes:int -> final:int list -> event list -> (unit, verdict) result
+(** {!check}, with the time of the violation kept. *)

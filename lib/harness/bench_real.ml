@@ -151,26 +151,55 @@ let run_structure_cell (module M : STM) ~canon ~structure (req : cell_request)
   let in_sink f =
     if p.observe then Sink.with_sink (Sink.Sharded shards) f else f ()
   in
+  (* Every repetition starts from reset stats and is folded into [cum]
+     before its own integrity checks run, so the checks' transactions are
+     never counted as work. *)
   let cum = Stats.create () in
-  let prev = ref (Stats.create ()) in
-  let failed_reps = ref [] in
+  let failed_reps = ref [] and rep_violations = ref [] in
+  let size_and_drift ~where =
+    let size = M.atomically t (fun tx -> ops.D.op_size tx) in
+    let live = M.live_words t in
+    (if size <> spec.Workload.initial_size then
+       [
+         Printf.sprintf "%sstructure size %d <> populated size %d" where size
+           spec.Workload.initial_size;
+       ]
+     else [])
+    @
+    if live <> live0 then
+      [
+        Printf.sprintf "%sallocator drift: %d live words vs baseline %d" where
+          live live0;
+      ]
+    else []
+  in
   let samples =
     List.filter_map
       (fun rep ->
+        let ops0 = Array.fold_left ( + ) 0 ops_counts in
         match in_sink (fun () -> phase ~seconds:p.duration_s ~rep) with
         | elapsed_s ->
-            (* Stats accumulate across repetitions; diff against the
-               previous snapshot for this repetition's sample. *)
-            let now_stats = M.stats t in
-            let commits = now_stats.Stats.commits - !prev.Stats.commits in
-            let aborts = Stats.aborts now_stats - Stats.aborts !prev in
-            prev := Stats.copy now_stats;
+            let st = M.stats t in
+            Stats.add_into ~dst:cum st;
+            let commits = st.Stats.commits in
+            let ops = Array.fold_left ( + ) 0 ops_counts - ops0 in
+            let where = Printf.sprintf "rep %d: " rep in
+            rep_violations :=
+              !rep_violations
+              @ (if commits <> ops then
+                   [
+                     Printf.sprintf "%scommits (%d) <> operations (%d)" where
+                       commits ops;
+                   ]
+                 else [])
+              @ size_and_drift ~where;
+            M.reset_stats t;
             Some
               {
                 Bench.thr = float_of_int commits /. elapsed_s;
                 elapsed_s;
                 commits;
-                aborts;
+                aborts = Stats.aborts st;
               }
         | exception e ->
             (* A raising worker must not abort the whole bench run: [R.run]
@@ -178,36 +207,24 @@ let run_structure_cell (module M : STM) ~canon ~structure (req : cell_request)
                pool is reusable.  Record the repetition as a typed failure
                (it yields no sample) and keep going; the CLI exits non-zero
                on any failed repetition. *)
-            prev := Stats.copy (M.stats t);
+            Stats.add_into ~dst:cum (M.stats t);
+            M.reset_stats t;
             failed_reps := (rep, Printexc.to_string e) :: !failed_reps;
             None)
       (List.init p.reps Fun.id)
   in
-  Stats.add_into ~dst:cum (M.stats t);
   let ops_total = Array.fold_left ( + ) 0 ops_counts in
-  let size_after = M.atomically t (fun tx -> ops.D.op_size tx) in
-  let live_after = M.live_words t in
   let violations =
     List.concat
       [
+        !rep_violations;
         (if cum.Stats.commits <> ops_total then
            [
              Printf.sprintf "commits (%d) <> operations (%d)"
                cum.Stats.commits ops_total;
            ]
          else []);
-        (if size_after <> spec.Workload.initial_size then
-           [
-             Printf.sprintf "structure size %d <> populated size %d"
-               size_after spec.Workload.initial_size;
-           ]
-         else []);
-        (if live_after <> live0 then
-           [
-             Printf.sprintf "allocator drift: %d live words vs baseline %d"
-               live_after live0;
-           ]
-         else []);
+        size_and_drift ~where:"";
       ]
   in
   let cell =

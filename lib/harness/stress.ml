@@ -8,6 +8,7 @@
    it as a `repro stress` invocation. *)
 
 module R = Tstm_runtime.Runtime_sim
+module Sched = Tstm_runtime.Sim_sched
 module Chaos = Tstm_chaos.Chaos
 module History = Tstm_chaos.History
 module San = Tstm_san.San
@@ -50,6 +51,7 @@ let default =
 
 type report = {
   violation : string option;
+  violation_at : int option;
   san_findings : San.finding list;
   injected : int;
   decisions : int;
@@ -94,6 +96,10 @@ let repro_command spec =
 let memory_words spec =
   ((spec.key_range + (8 * spec.nthreads) + 64) * 24) + 8192
 
+(* Virtual-time bound per simulated thread and run: a millisecond per
+   operation at the simulated 2 GHz, hundreds of times what one takes. *)
+let horizon spec = 2_000_000 * max 1 spec.per_thread
+
 let run_one spec =
   let words = memory_words spec in
   let policy =
@@ -102,38 +108,72 @@ let run_one spec =
     | Error msg -> invalid_arg ("Stress.run_one: " ^ msg)
   in
   let history = History.create ~nthreads:spec.nthreads in
+  (* An armed bug can commit a cyclic structure; a transaction walking it
+     then loops, growing its read set, until the horizon ends the run. *)
+  let bounded f =
+    match Sched.with_horizon (horizon spec) f with
+    | () -> None
+    | exception Sched.Runaway { cpu; cycles } -> Some (cpu, cycles)
+  in
   Chaos.with_bug spec.bug (fun () ->
-      let final, stats, injected, decisions, san_findings =
-        Chaos.with_plan ~config:spec.chaos ?limit:spec.site_limit
-          ~seed:spec.seed (fun () ->
-            let body () =
-              let (module M) = Registry.get spec.stm in
-              let module D = Driver.Make (R) (M) in
+      let body () =
+        let (module M) = Registry.get spec.stm in
+        let module D = Driver.Make (R) (M) in
+        let t, ops, recorded, injected, decisions =
+          Chaos.with_plan ~config:spec.chaos ?limit:spec.site_limit
+            ~seed:spec.seed (fun () ->
               let t =
                 M.create ~max_retries:spec.max_retries ~cm:policy
                   ~memory_words:words ()
               in
               let ops = D.make_structure t spec.structure in
-              D.run_recorded ~pattern:spec.pattern t ops
-                ~nthreads:spec.nthreads ~per_thread:spec.per_thread
-                ~key_range:spec.key_range ~seed:spec.seed history;
-              let final = M.atomically t (fun tx -> ops.D.op_to_list tx) in
-              (final, M.stats t)
-            in
-            let (final, stats), fs =
-              if spec.san then San.with_armed ~ncpus:(max 1 spec.nthreads) body
-              else (body (), [])
-            in
-            (final, stats, Chaos.injected (), Chaos.decisions (), fs))
+              let recorded =
+                bounded (fun () ->
+                    D.run_recorded ~pattern:spec.pattern t ops
+                      ~nthreads:spec.nthreads ~per_thread:spec.per_thread
+                      ~key_range:spec.key_range ~seed:spec.seed history)
+              in
+              (t, ops, recorded, Chaos.injected (), Chaos.decisions ()))
+        in
+        (* The final contents are read on a simulated thread of their own,
+           after the plan, so the horizon bounds this walk too. *)
+        let final = ref [] in
+        let listing =
+          if recorded <> None then None
+          else
+            bounded (fun () ->
+                R.run ~nthreads:1 (fun _ ->
+                    final := M.atomically t (fun tx -> ops.D.op_to_list tx)))
+        in
+        (recorded, listing, !final, M.stats t, injected, decisions)
+      in
+      let (recorded, listing, final, stats, injected, decisions), san_findings =
+        if spec.san then San.with_armed ~ncpus:(max 1 spec.nthreads) body
+        else (body (), [])
       in
       let events = History.events history in
-      let violation =
-        match History.check ~window:spec.window ~final events with
-        | Ok () -> None
-        | Error msg -> Some msg
+      let runaway where ~after (cpu, cycles) =
+        ( Some
+            (Printf.sprintf
+               "runaway %s: cpu %d passed %d virtual cycles without \
+                finishing (a transaction looping over corrupted state)"
+               where cpu cycles),
+          Some (after + cycles) )
+      in
+      let violation, violation_at =
+        match (recorded, listing) with
+        | Some r, _ -> runaway "during the run" ~after:0 r
+        | None, Some r ->
+            let last = List.fold_left (fun m e -> max m e.History.resp) 0 events in
+            runaway "listing the final contents" ~after:last r
+        | None, None -> (
+            match History.diagnose ~window:spec.window ~final events with
+            | Ok () -> (None, None)
+            | Error v -> (Some v.History.message, v.History.at))
       in
       {
         violation;
+        violation_at;
         san_findings;
         injected;
         decisions;

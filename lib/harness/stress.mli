@@ -31,6 +31,10 @@ val default : spec
 
 type report = {
   violation : string option;  (** checker diagnostic; [None] = serializable *)
+  violation_at : int option;
+      (** virtual time (cycles) at which the history went wrong
+          ({!Tstm_chaos.History.verdict}); [None] when serializable or when
+          the checker ran out of budget *)
   san_findings : Tstm_san.San.finding list;
       (** sanitizer findings; always [[]] when [spec.san] is false *)
   injected : int;  (** chaos injections fired *)

@@ -99,6 +99,15 @@ let charge c =
   assert (c >= 0);
   if inside () then Effect.perform (Charge c)
 
+exception Runaway of { cpu : int; cycles : int }
+
+let horizon = ref max_int
+
+let with_horizon cycles f =
+  let saved = !horizon in
+  horizon := cycles;
+  Fun.protect ~finally:(fun () -> horizon := saved) f
+
 let last_switches = ref 0
 
 let switches () =
@@ -123,7 +132,10 @@ let handler_for (s : state) (fb : fiber) =
                   else c
                 in
                 fb.vtime <- fb.vtime + c;
-                Heap.push s.heap fb.vtime (Resume (fb, k)))
+                if fb.vtime > !horizon then
+                  Effect.Deep.discontinue k
+                    (Runaway { cpu = fb.id; cycles = fb.vtime })
+                else Heap.push s.heap fb.vtime (Resume (fb, k)))
         | _ -> None);
   }
 

@@ -29,6 +29,18 @@ val charge_noyield : int -> unit
 (** Advance virtual time without a preemption point (used for contention
     penalties discovered at the instant an access executes). *)
 
+exception Runaway of { cpu : int; cycles : int }
+(** Raised on the fiber of CPU [cpu], at a preemption point, once its
+    virtual time [cycles] passes the horizon set by {!with_horizon}; it
+    ends the {!run} like any exception a fiber raises. *)
+
+val with_horizon : int -> (unit -> 'a) -> 'a
+(** [with_horizon cycles f] runs [f] with every fiber of every {!run}
+    inside it bounded to [cycles] of virtual time, so code that loops
+    forever (a transaction traversing a structure an armed protocol bug
+    made cyclic) fails with {!Runaway} instead of running out of memory.
+    Unbounded by default. *)
+
 val switches : unit -> int
 (** Number of context switches performed by the last / current [run]
     (observability for tests and the ablation bench). *)

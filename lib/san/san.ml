@@ -49,6 +49,7 @@ type finding = {
   label : string;
   addr : int;
   detail : string;
+  ts : int;
 }
 
 let render f =
@@ -124,7 +125,13 @@ let make ~ncpus ~max_findings =
 let report s ~kind ~cpu ?(other = -1) ?(label = "mem") ~addr detail =
   if s.n_findings >= s.max_findings then s.dropped <- s.dropped + 1
   else begin
-    s.findings_rev <- { kind; cpu; other; label; addr; detail } :: s.findings_rev;
+    s.findings_rev <-
+      { kind; cpu; other; label; addr; detail;
+        ts =
+          (if Tstm_runtime.Sim_sched.inside () then
+             Tstm_runtime.Sim_sched.now_cycles ()
+           else max_int) }
+      :: s.findings_rev;
     s.n_findings <- s.n_findings + 1
   end
 

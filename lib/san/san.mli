@@ -75,6 +75,9 @@ type finding = {
   label : string;  (** obs contention label of the array, e.g. ["mem"] *)
   addr : int;  (** word address or lock index under [label] *)
   detail : string;  (** rendered (cpu, addr, access-pair) diagnostic *)
+  ts : int;
+      (** virtual time (cycles) of the flagged access; [max_int] outside a
+          simulated run, so it never counts as early *)
 }
 
 val render : finding -> string

@@ -165,10 +165,12 @@ let test_stress_jobs_invariant () =
 (* ------------------------------------------------------------------ *)
 
 (* Digests of the quick-profile figure CSVs, the ablation table and the
-   tuner trace, captured before the contention-management layer existed.
-   The default policy (backoff) must replay the historical runs
-   byte-identically — any virtual-time or RNG-stream drift on the default
-   path moves these digests and fails here. *)
+   tuner trace, captured before the contention-management layer existed
+   and re-pinned when small-block allocation became thread-private (which
+   moves where concurrent threads' nodes land).  The default policy
+   (backoff) must replay the historical runs byte-identically — any
+   virtual-time or RNG-stream drift on the default path moves these
+   digests and fails here. *)
 
 module Abl = Tstm_harness.Ablation
 module Scenario = Tstm_harness.Scenario
@@ -180,7 +182,7 @@ let test_pinned_figures_digest () =
   let res = Plan.execute ~jobs:1 plan in
   check_bool "all cells ok" true (Plan.ok res);
   Alcotest.(check string)
-    "figures 7+10 digest pinned" "c4830843617461c335712e43584d56e4"
+    "figures 7+10 digest pinned" "fbe50e6ae15de27eab360fea95b94d08"
     (digest (render_figures F.quick golden_figs res))
 
 let test_pinned_ablation_digest () =
@@ -192,7 +194,7 @@ let test_pinned_ablation_digest () =
   in
   let rows = List.map Abl.run_point pts in
   Alcotest.(check string)
-    "ablation digest pinned" "a6ac5ff6370f6731a778e802e1dbe76f"
+    "ablation digest pinned" "3f8614f2c2e7204706c362df63ae44ff"
     (digest (String.concat "\n" (List.map Abl.render rows)))
 
 let test_pinned_tune_digest () =
@@ -212,7 +214,7 @@ let test_pinned_tune_digest () =
          tr.Scenario.steps)
   in
   Alcotest.(check string)
-    "tuner-trace digest pinned" "1281dbff72cfffefd31e4a3de57546d6"
+    "tuner-trace digest pinned" "6c7d389f4a9518ae8c690ea602184b42"
     (digest rendered)
 
 (* ------------------------------------------------------------------ *)
@@ -240,7 +242,7 @@ let test_pinned_escalation_stress_digest () =
   check_bool "all runs ok" true (Plan.ok res);
   let sw = St.summarize (stress_pairs specs res) in
   check_bool "clean sweep" true (sw.St.first_failure = None);
-  check_int "escalations" 1480 sw.St.total_escalations;
+  check_int "escalations" 1575 sw.St.total_escalations;
   let stdout =
     Printf.sprintf
       "stress: %d runs (%d seeds x %d stm x %d structures), %d ops checked, \
@@ -252,7 +254,7 @@ let test_pinned_escalation_stress_digest () =
       sw.St.total_aborts sw.St.total_escalations
   in
   Alcotest.(check string)
-    "escalating stress digest pinned" "5b73f1c8534be8d376f4c8e4563649e3"
+    "escalating stress digest pinned" "3389cc28eb9c13132b3d6869f1465a0c"
     (digest stdout)
 
 (* Storm reports of every registry STM under suicide with the watchdog
@@ -315,6 +317,43 @@ let test_pinned_rollover_digest () =
   Alcotest.(check string) "roll-over digest pinned" "eed303d7916069ca6de9baabedce3463"
     (digest rendered)
 
+(* The repository benchmark's rbtree-read spec at seed 42 (65,536-node
+   tree, 5 % updates, one thread) under every registry STM: the final
+   statistics and the thread's final virtual time.  This pins the
+   single-thread path end to end, allocator cost included. *)
+let test_pinned_one_thread_digest () =
+  let spec =
+    W.make ~structure:W.Rbtree ~initial_size:65_536 ~key_range:131_072
+      ~update_pct:5.0 ~nthreads:1 ~duration:0.005 ~seed:42 ()
+  in
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun stm ->
+      let (module M) = Tstm_tm.Registry.get stm in
+      let module D = Tstm_harness.Driver.Make (R) (M) in
+      let t = M.create ~memory_words:(W.memory_words_for spec) () in
+      let ops = D.make_structure t spec.W.structure in
+      D.populate t ops spec;
+      M.reset_stats t;
+      let fin = ref 0 in
+      R.run ~nthreads:1 (fun tid ->
+          let g = Tstm_util.Xrand.create (D.thread_seed spec tid) in
+          let ctx = D.thread_ctx spec tid in
+          let pending = ref None in
+          let tend = R.now () +. spec.W.duration in
+          while R.now () < tend do
+            D.step t ops spec ctx g pending
+          done;
+          fin := R.now_cycles ());
+      Buffer.add_string buf
+        (Printf.sprintf "%s %s end=%d\n" stm
+           (Tstm_obs.Json.to_string (Tstm_tm.Tm_stats.to_json (M.stats t)))
+           !fin))
+    Scenario.all_stms;
+  Alcotest.(check string)
+    "one-thread rbtree-read digest pinned" "3731369b01e3d9ccec89ddbec7147b1e"
+    (digest (Buffer.contents buf))
+
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: a SIGKILLed worker is requeued, output unchanged    *)
 (* ------------------------------------------------------------------ *)
@@ -375,5 +414,7 @@ let () =
             test_pinned_storm_digest;
           Alcotest.test_case "pinned digest: TinySTM roll-over" `Quick
             test_pinned_rollover_digest;
+          Alcotest.test_case "pinned digest: one-thread rbtree-read" `Quick
+            test_pinned_one_thread_digest;
         ] );
     ]

@@ -195,44 +195,56 @@ let test_alloc_resets_shadow () =
 (* Sweep seeds in order under an armed bug and record the first seed the
    sanitizer flags and the first seed the serializability checker flags.
    The sanitizer judges every commit against the protocol, so it must fire
-   in strictly fewer seeds than the black-box checker, which only sees
-   externally non-serializable histories. *)
+   before the black-box checker, which only sees externally
+   non-serializable histories.  Also returns the first seed's findings and
+   the time its history went wrong. *)
 let first_seeds spec =
   let cap = 12 in
-  let rec go seed san chk sfs =
-    if seed >= cap || (san >= 0 && chk >= 0) then (san, chk, sfs)
+  let rec go seed san chk sfs at =
+    if seed >= cap || (san >= 0 && chk >= 0) then (san, chk, sfs, at)
     else
       let r = St.run_one { spec with St.seed } in
       let san, sfs =
         if san < 0 && r.St.san_findings <> [] then (seed, r.St.san_findings)
         else (san, sfs)
       in
-      let chk = if chk < 0 && r.St.violation <> None then seed else chk in
-      go (seed + 1) san chk sfs
+      let chk, at =
+        if chk < 0 && r.St.violation <> None then (seed, r.St.violation_at)
+        else (chk, at)
+      in
+      go (seed + 1) san chk sfs at
   in
-  go 0 (-1) (-1) []
+  go 0 (-1) (-1) [] None
 
 (* [kinds] is the acceptable diagnosis set for the armed bug (at least one
-   must appear among the first findings).  [allow_tie] admits san = chk:
-   a single-lock STM commits torn state in whole write sets, so the very
-   first poisoned seed can already be externally non-serializable — the
-   sanitizer still never needs MORE seeds than the black-box checker. *)
-let teeth ?(kinds = [ San.Stale_read ]) ?(allow_tie = false) stm bug () =
+   must appear among the first findings).  The sanitizer must fire in
+   strictly fewer seeds than the checker or, on a tie, earlier in virtual
+   time: its earliest finding precedes the moment the checker's history
+   goes wrong ({!St.report.violation_at}).  A tie is legitimate — a
+   single-lock STM commits torn state in whole write sets, so the very
+   first poisoned seed can already be externally non-serializable. *)
+let teeth ?(kinds = [ San.Stale_read ]) stm bug () =
   let spec =
     { St.default with St.stm; per_thread = 8; bug = Some bug; san = true }
   in
-  let san, chk, fs = first_seeds spec in
+  let san, chk, fs, at = first_seeds spec in
   check_bool
     (Printf.sprintf "sanitizer flags %s on %s (first seed %d)"
        (Chaos.bug_name bug) stm san)
     true (san >= 0);
+  let first_ts = List.fold_left (fun m f -> min m f.San.ts) max_int fs in
+  let earlier =
+    san = chk && match at with Some resp -> first_ts < resp | None -> false
+  in
   check_bool
-    (Printf.sprintf "sanitizer needs %s seeds (san %d, checker %s)"
-       (if allow_tie then "no more" else "strictly fewer")
-       san
-       (if chk < 0 then "none within cap" else string_of_int chk))
+    (Printf.sprintf
+       "sanitizer needs fewer seeds, or fires first on a tie (san %d at %d, \
+        checker %s at %s)"
+       san first_ts
+       (if chk < 0 then "none within cap" else string_of_int chk)
+       (match at with Some r -> string_of_int r | None -> "-"))
     true
-    (chk < 0 || san < chk || (allow_tie && san = chk));
+    (chk < 0 || san < chk || earlier);
   (* The report must name a concrete (cpu, addr, access pair). *)
   check_bool "finding carries a word address" true
     (List.exists (fun f -> f.San.label = "mem" && f.San.addr >= 0) fs);
@@ -323,7 +335,7 @@ let () =
           Alcotest.test_case "skip-validation on tl2" `Quick
             (teeth "tl2" Chaos.Skip_validation);
           Alcotest.test_case "skip-validation on norec (torn commit)" `Quick
-            (teeth ~allow_tie:true "norec" Chaos.Skip_validation);
+            (teeth "norec" Chaos.Skip_validation);
           Alcotest.test_case "skip-extension on norec" `Quick
             (teeth
                ~kinds:[ San.Read_beyond_snapshot; San.Stale_read ]

@@ -7,6 +7,31 @@ module Vmm_real = Tstm_vmm.Vmm.Make (Tstm_runtime.Runtime_real)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Reference model: one bump pointer and one LIFO free list per size
+   class up to 256 words, over an arena of [capacity] words.  A request
+   that does not fit raises [Out_of_memory] and claims nothing. *)
+module Ref = struct
+  type t = { capacity : int; mutable bump : int; lists : (int, int list) Hashtbl.t }
+
+  let create capacity = { capacity; bump = 1; lists = Hashtbl.create 16 }
+
+  let alloc r n =
+    match Hashtbl.find_opt r.lists n with
+    | Some (a :: rest) when n <= 256 ->
+        Hashtbl.replace r.lists n rest;
+        a
+    | _ ->
+        if r.bump + n - 1 > r.capacity then raise Out_of_memory;
+        let a = r.bump in
+        r.bump <- a + n;
+        a
+
+  let free r a n =
+    if n <= 256 then
+      Hashtbl.replace r.lists n
+        (a :: Option.value ~default:[] (Hashtbl.find_opt r.lists n))
+end
+
 module Common (R : Tstm_runtime.Runtime_intf.S) (V : module type of Tstm_vmm.Vmm.Make (R)) =
 struct
   let test_load_store () =
@@ -216,6 +241,77 @@ struct
         List.iter (fun a -> V.free m a 4) !mine);
     check_int "all freed" 0 (V.live_words m)
 
+  (* Run [f] on thread [tid] of a two-thread run (the other thread idles),
+     so each step below happens on a known thread, in a known order. *)
+  let on tid f = R.run ~nthreads:2 (fun me -> if me = tid then f ())
+
+  let test_cross_thread_double_free () =
+    let m = V.create ~words:4096 in
+    let a = ref V.null in
+    on 0 (fun () -> a := V.alloc m 4);
+    on 1 (fun () -> V.free m !a 4);
+    rejects_invalid "thread 0 frees a block thread 1 already freed" (fun () ->
+        on 0 (fun () -> V.free m !a 4));
+    check_int "accounting intact" 0 (V.live_words m);
+    (* The block sits in thread 1's cache: thread 0 gets a fresh one, thread
+       1 gets it back, exactly once. *)
+    let b = ref V.null and c = ref V.null and d = ref V.null in
+    on 0 (fun () -> b := V.alloc m 4);
+    on 1 (fun () -> c := V.alloc m 4);
+    on 1 (fun () -> d := V.alloc m 4);
+    check_bool "not handed to thread 0" true (!b <> !a);
+    check_int "recycled by the freeing thread" !a !c;
+    check_bool "handed out once" true (!d <> !a && !d <> !b)
+
+  let test_double_free_after_spill () =
+    (* Thread 1 frees the block first and then enough others to spill it
+       (the oldest) to the shared list: the second free is still caught. *)
+    let m = V.create ~words:4096 in
+    let a = ref V.null and rest = ref [] in
+    on 0 (fun () ->
+        a := V.alloc m 2;
+        rest := List.init 40 (fun _ -> V.alloc m 2));
+    on 1 (fun () ->
+        V.free m !a 2;
+        List.iter (fun b -> V.free m b 2) !rest);
+    rejects_invalid "double free of a spilled block" (fun () ->
+        on 0 (fun () -> V.free m !a 2));
+    rejects_invalid "double free of a cached block" (fun () ->
+        on 0 (fun () -> V.free m (List.nth !rest 39) 2));
+    check_int "accounting intact" 0 (V.live_words m)
+
+  let test_oom_claims_nothing () =
+    (* A request that does not fit leaves the remaining words allocatable. *)
+    let m = V.create ~words:10 in
+    ignore (V.alloc m 8);
+    Alcotest.check_raises "exhausted" Out_of_memory (fun () ->
+        ignore (V.alloc m 3));
+    check_int "the last two words still fit" 9 (V.alloc m 2);
+    Alcotest.check_raises "now full" Out_of_memory (fun () ->
+        ignore (V.alloc m 1))
+
+  let test_reference_trace () =
+    (* Fill, drain (spilling most of the blocks) and refill a class, with
+       larger classes interleaved: one thread sees the reference
+       allocator's addresses throughout. *)
+    let m = V.create ~words:100_000 and r = Ref.create 100_000 in
+    let both n =
+      let a = V.alloc m n in
+      check_int (Printf.sprintf "alloc %d" n) (Ref.alloc r n) a;
+      a
+    in
+    let free a n =
+      V.free m a n;
+      Ref.free r a n
+    in
+    for round = 1 to 3 do
+      let small = List.init 100 (fun i -> (both (2 + (i mod 3)), 2 + (i mod 3))) in
+      let big = List.init 5 (fun i -> (both (40 * i + round), 40 * i + round)) in
+      List.iter (fun (a, n) -> free a n) (List.rev big);
+      List.iter (fun (a, n) -> free a n) small
+    done;
+    check_int "accounting" 0 (V.live_words m)
+
   let tests =
     [
       Alcotest.test_case "load/store" `Quick test_load_store;
@@ -242,6 +338,14 @@ struct
         test_double_free_deep_in_list;
       Alcotest.test_case "parallel alloc" `Quick test_parallel_alloc_no_overlap;
       Alcotest.test_case "parallel churn" `Quick test_parallel_alloc_free_churn;
+      Alcotest.test_case "cross-thread double free" `Quick
+        test_cross_thread_double_free;
+      Alcotest.test_case "double free after a spill" `Quick
+        test_double_free_after_spill;
+      Alcotest.test_case "out of memory claims nothing" `Quick
+        test_oom_claims_nothing;
+      Alcotest.test_case "single thread = reference allocator" `Quick
+        test_reference_trace;
     ]
 end
 
@@ -282,10 +386,108 @@ let prop_alloc_free_trace =
         ops;
       Vmm_sim.live_words m = !expected_live)
 
+(* qcheck: whatever a single thread does, the allocator returns exactly
+   the reference model's addresses and raises [Out_of_memory] exactly when
+   it does.  Frees pick a random live block; sizes cover the cached
+   classes, the shared-only classes and the large blocks. *)
+type op = Alloc of int | Free of int
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 400)
+      (frequency
+         [
+           (4, map (fun n -> Alloc n) (int_range 1 8));
+           (1, map (fun n -> Alloc n) (int_range 9 300));
+           (4, map (fun i -> Free i) nat);
+         ]))
+
+let arb_trace =
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat " "
+           (List.map
+              (function
+                | Alloc n -> Printf.sprintf "a%d" n | Free i -> Printf.sprintf "f%d" i)
+              ops)))
+    QCheck.Gen.(pair (int_range 1 3000) gen_ops)
+
+let prop_reference_model =
+  QCheck.Test.make ~name:"single thread = reference allocator" ~count:200
+    arb_trace (fun (cap, ops) ->
+      let m = Vmm_sim.create ~words:cap and r = Ref.create cap in
+      let live = ref [] in
+      List.iter
+        (function
+          | Alloc n -> (
+              match Ref.alloc r n with
+              | a ->
+                  if Vmm_sim.alloc m n <> a then failwith "address differs";
+                  live := (a, n) :: !live
+              | exception Out_of_memory -> (
+                  match Vmm_sim.alloc m n with
+                  | _ -> failwith "allocated past the reference"
+                  | exception Out_of_memory -> ()))
+          | Free i -> (
+              match !live with
+              | [] -> ()
+              | l ->
+                  let a, n = List.nth l (i mod List.length l) in
+                  live := List.filter (fun (b, _) -> b <> a) l;
+                  Vmm_sim.free m a n;
+                  Ref.free r a n))
+        ops;
+      Vmm_sim.live_words m = List.fold_left (fun s (_, n) -> s + n) 0 !live)
+
+(* qcheck: simulated threads allocating and freeing (also each other's
+   blocks) until the arena runs dry never get a block reaching past
+   [capacity], and never two overlapping live blocks. *)
+let prop_within_capacity =
+  QCheck.Test.make ~name:"no block extends past capacity" ~count:100
+    QCheck.(triple (int_range 1 2000) (int_range 1 4) small_nat)
+    (fun (cap, nthreads, seed) ->
+      let m = Vmm_sim.create ~words:cap in
+      let live = Hashtbl.create 64 and pool = ref [] in
+      let ok = ref true in
+      Tstm_runtime.Runtime_sim.run ~nthreads (fun tid ->
+          let g = Tstm_util.Xrand.create ((seed * 8) + tid) in
+          for _ = 1 to 200 do
+            if Tstm_util.Xrand.int g 3 > 0 || !pool = [] then begin
+              let n =
+                if Tstm_util.Xrand.int g 10 = 0 then 1 + Tstm_util.Xrand.int g 300
+                else 1 + Tstm_util.Xrand.int g 20
+              in
+              match Vmm_sim.alloc m n with
+              | a ->
+                  if a < 1 || a + n - 1 > cap then ok := false;
+                  for w = a to a + n - 1 do
+                    if Hashtbl.mem live w then ok := false;
+                    Hashtbl.replace live w ()
+                  done;
+                  pool := (a, n) :: !pool
+              | exception Out_of_memory -> ()
+            end
+            else begin
+              let l = !pool in
+              let a, n = List.nth l (Tstm_util.Xrand.int g (List.length l)) in
+              pool := List.filter (fun (b, _) -> b <> a) l;
+              for w = a to a + n - 1 do
+                Hashtbl.remove live w
+              done;
+              Vmm_sim.free m a n
+            end
+          done);
+      !ok
+      && Vmm_sim.live_words m = List.fold_left (fun s (_, n) -> s + n) 0 !pool)
+
 let () =
   Alcotest.run "tstm_vmm"
     [
       ("sim", Sim_tests.tests);
       ("domains", Real_tests.tests);
-      ("props", List.map QCheck_alcotest.to_alcotest [ prop_alloc_free_trace ]);
+      ( "props",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_alloc_free_trace; prop_reference_model; prop_within_capacity ]
+      );
     ]
