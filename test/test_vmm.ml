@@ -312,6 +312,49 @@ struct
     done;
     check_int "accounting" 0 (V.live_words m)
 
+  let test_cross_thread_handoff () =
+    (* Even threads allocate and hand their blocks over through shared
+       slots; odd threads free what they take.  The freeing threads' own
+       lists keep spilling to the shared lists, which the allocating
+       threads then pop concurrently.  Every word of a live block is
+       claimed by CAS in an owner map: a block handed out twice, or
+       overlapping another, fails the claim. *)
+    let words = 200_000 in
+    let m = V.create ~words in
+    let owner = R.sarray_make (words + 1) (-1) in
+    let slots = R.sarray_make 32 0 in
+    let overlaps = R.sarray_make 1 0 in
+    let give_back v =
+      let a = v / 4 and n = v mod 4 in
+      for w = a to a + n - 1 do
+        R.set owner w (-1)
+      done;
+      V.free m a n
+    in
+    R.run ~nthreads:4 (fun tid ->
+        let g = Tstm_util.Xrand.create (7 + tid) in
+        for _ = 1 to 3_000 do
+          let s = Tstm_util.Xrand.int g 32 in
+          if tid mod 2 = 0 then begin
+            let n = 1 + Tstm_util.Xrand.int g 3 in
+            let a = V.alloc m n in
+            for w = a to a + n - 1 do
+              if not (R.cas owner w (-1) tid) then
+                ignore (R.fetch_add overlaps 0 1)
+            done;
+            if not (R.cas slots s 0 ((a * 4) + n)) then give_back ((a * 4) + n)
+          end
+          else
+            let v = R.get slots s in
+            if v <> 0 && R.cas slots s v 0 then give_back v
+        done);
+    for s = 0 to 31 do
+      let v = R.get slots s in
+      if v <> 0 then give_back v
+    done;
+    check_int "no block handed out twice" 0 (R.get overlaps 0);
+    check_int "all freed" 0 (V.live_words m)
+
   let tests =
     [
       Alcotest.test_case "load/store" `Quick test_load_store;
@@ -346,6 +389,8 @@ struct
         test_oom_claims_nothing;
       Alcotest.test_case "single thread = reference allocator" `Quick
         test_reference_trace;
+      Alcotest.test_case "cross-thread hand-off" `Quick
+        test_cross_thread_handoff;
     ]
 end
 
