@@ -317,15 +317,9 @@ let test_pinned_rollover_digest () =
   Alcotest.(check string) "roll-over digest pinned" "eed303d7916069ca6de9baabedce3463"
     (digest rendered)
 
-(* The repository benchmark's rbtree-read spec at seed 42 (65,536-node
-   tree, 5 % updates, one thread) under every registry STM: the final
-   statistics and the thread's final virtual time.  This pins the
-   single-thread path end to end, allocator cost included. *)
-let test_pinned_one_thread_digest () =
-  let spec =
-    W.make ~structure:W.Rbtree ~initial_size:65_536 ~key_range:131_072
-      ~update_pct:5.0 ~nthreads:1 ~duration:0.005 ~seed:42 ()
-  in
+(* Every registry STM on [spec] from a fresh instance: the final
+   statistics and the latest final virtual time of any thread. *)
+let registry_run_digest spec =
   let buf = Buffer.create 1024 in
   List.iter
     (fun stm ->
@@ -336,7 +330,7 @@ let test_pinned_one_thread_digest () =
       D.populate t ops spec;
       M.reset_stats t;
       let fin = ref 0 in
-      R.run ~nthreads:1 (fun tid ->
+      R.run ~nthreads:spec.W.nthreads (fun tid ->
           let g = Tstm_util.Xrand.create (D.thread_seed spec tid) in
           let ctx = D.thread_ctx spec tid in
           let pending = ref None in
@@ -344,15 +338,47 @@ let test_pinned_one_thread_digest () =
           while R.now () < tend do
             D.step t ops spec ctx g pending
           done;
-          fin := R.now_cycles ());
+          fin := max !fin (R.now_cycles ()));
       Buffer.add_string buf
         (Printf.sprintf "%s %s end=%d\n" stm
            (Tstm_obs.Json.to_string (Tstm_tm.Tm_stats.to_json (M.stats t)))
            !fin))
     Scenario.all_stms;
+  digest (Buffer.contents buf)
+
+(* The repository benchmark's rbtree-read spec at seed 42 (65,536-node
+   tree, 5 % updates, one thread).  This pins the single-thread path end
+   to end, allocator cost included. *)
+let test_pinned_one_thread_digest () =
+  let spec =
+    W.make ~structure:W.Rbtree ~initial_size:65_536 ~key_range:131_072
+      ~update_pct:5.0 ~nthreads:1 ~duration:0.005 ~seed:42 ()
+  in
   Alcotest.(check string)
     "one-thread rbtree-read digest pinned" "3731369b01e3d9ccec89ddbec7147b1e"
-    (digest (Buffer.contents buf))
+    (registry_run_digest spec)
+
+(* The repository benchmark's two contended points at seed 42 under the
+   default contention manager: sim-paper (list of 256, 20 % updates, 8
+   threads) and list-conflict (list of 256, 50 % updates, 2 threads).
+   These run the redo-log write sets, the commit-time lock acquisition and
+   every lock-release loop with real conflicts, no chaos and no
+   escalation. *)
+let test_pinned_default_cm_digest () =
+  let sim_paper =
+    W.make ~structure:W.List ~initial_size:256 ~update_pct:20.0 ~nthreads:8
+      ~duration:0.002 ~seed:42 ()
+  in
+  let list_conflict =
+    W.make ~structure:W.List ~initial_size:256 ~key_range:512
+      ~update_pct:50.0 ~nthreads:2 ~duration:0.002 ~seed:42 ()
+  in
+  Alcotest.(check string)
+    "sim-paper digest pinned" "092af9b52ef81a8fbce7ca49bafd28f1"
+    (registry_run_digest sim_paper);
+  Alcotest.(check string)
+    "list-conflict digest pinned" "f5b6a6918049115d431ba44118b4964b"
+    (registry_run_digest list_conflict)
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: a SIGKILLed worker is requeued, output unchanged    *)
@@ -416,5 +442,7 @@ let () =
             test_pinned_rollover_digest;
           Alcotest.test_case "pinned digest: one-thread rbtree-read" `Quick
             test_pinned_one_thread_digest;
+          Alcotest.test_case "pinned digest: default CM, several threads"
+            `Quick test_pinned_default_cm_digest;
         ] );
     ]
