@@ -1,7 +1,8 @@
 (* Thin cmdliner driver over Tstm_lint (see lib/lint).
 
    Usage:
-     lint [DIR|FILE]...                 repo pass (default: lib bin test)
+     lint [DIR|FILE]...                 repo pass (default: lib bin test
+                                        bench examples)
      lint --format=github lib bin test  CI annotations
      lint --format=json ...             machine-readable findings
      lint --teeth test/lint_fixtures    fixture corpus: every finding must
@@ -15,7 +16,9 @@ open Tstm_lint
 type format = Human | Github | Json
 
 let run_lint format roots =
-  let roots = if roots = [] then [ "lib"; "bin"; "test" ] else roots in
+  let roots =
+    if roots = [] then [ "lib"; "bin"; "test"; "bench"; "examples" ] else roots
+  in
   let { Engine.findings; files_checked } = Engine.run ~roots () in
   let rules = List.length Rules.all in
   (match format with
@@ -79,7 +82,7 @@ let list_rules =
 
 let roots =
   Arg.(value & pos_all string [] & info [] ~docv:"DIR"
-         ~doc:"Roots to lint (default: lib bin test).")
+         ~doc:"Roots to lint (default: lib bin test bench examples).")
 
 let cmd =
   let doc = "AST-driven STM-discipline lint for this repository" in

@@ -7,7 +7,8 @@
    the quiescence fence, the [atomically] retry loop with its
    serial-irrevocable escalation, contention-management bookkeeping,
    back-off, the watchdog feed, the obs/chaos/san/fault taps, transactional
-   allocation and the allocation-failed budget.
+   allocation and the allocation-failed budget.  Protocol pieces that more
+   than one family uses live in [Frame], once.
 
    In the simulator every runtime operation and every charge moves virtual
    time, so the order of operations below is part of each family's
@@ -24,6 +25,7 @@ module San = Tstm_san.San
 module Cm = Tstm_cm.Cm
 module Watchdog = Tstm_runtime.Watchdog
 module G = Tstm_util.Growbuf
+module Bloom = Tstm_util.Bloom
 
 exception Abort_exn of Stats.abort_reason
 
@@ -167,6 +169,89 @@ module Frame (R : Tstm_runtime.Runtime_intf.S) = struct
     for k = 0 to G.length d.f_addr - 1 do
       V.free t.mem (G.get d.f_addr k) (G.get d.f_size k)
     done
+
+  (* ------------------------------------------------------------------ *)
+  (* Contention decisions shared by the families                         *)
+  (* ------------------------------------------------------------------ *)
+
+  (* The kill-capable policies' verdict on [enemy]: both published
+     priorities, own first (in the simulator the two loads' order is
+     virtual time), then the pure decision table. *)
+  let cm_verdict t d enemy =
+    let self_prio = R.get t.prios (flag_slot d.tid) in
+    let enemy_prio = R.get t.prios (flag_slot enemy) in
+    Cm.on_enemy d.eff_cm ~self_prio ~enemy_prio ~self_tid:d.tid
+      ~enemy_tid:enemy
+
+  (* Bounded wait on a lock word whose low bit means "locked": at most [n]
+     yield-and-recheck rounds.  Returns whether the lock was observed
+     free.  Unbounded, two transactions blocked on each other's locks
+     would deadlock. *)
+  let rec wait_unlocked locks li n =
+    if n <= 0 then false
+    else begin
+      R.yield ();
+      if R.get locks li land 1 = 1 then wait_unlocked locks li (n - 1)
+      else true
+    end
+
+  (* ------------------------------------------------------------------ *)
+  (* Redo log of the commit-time protocols (TL2, NOrec)                  *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Buffered writes as parallel address/value arrays, written back at
+     commit, with a Bloom filter that lets most reads skip the search
+     (paper §3.1: "TL2 uses Bloom filters to avoid unnecessary write set
+     traversals").  The filter test and every scanned entry are charged:
+     this is the bookkeeping TinySTM avoids by chaining its write set from
+     the lock word. *)
+  module Redo = struct
+    type t = { addr : G.t; value : G.t; bloom : Bloom.t }
+
+    let c_bloom = 3
+    let c_scan = 1
+
+    let create () =
+      { addr = G.create 32; value = G.create 32; bloom = Bloom.create () }
+
+    let length w = G.length w.addr
+    let is_empty w = G.length w.addr = 0
+    let addr w k = G.get w.addr k
+    let value w k = G.get w.value k
+
+    (* Searched backwards so the newest entry for [a] wins. *)
+    let find w a =
+      R.charge_local c_bloom;
+      if Bloom.may_contain w.bloom a then begin
+        let rec go k =
+          if k < 0 then None
+          else begin
+            R.charge_local c_scan;
+            if G.get w.addr k = a then Some k else go (k - 1)
+          end
+        in
+        go (G.length w.addr - 1)
+      end
+      else None
+
+    let put w a v =
+      match find w a with
+      | Some k -> G.set w.value k v
+      | None ->
+          G.push w.addr a;
+          G.push w.value v;
+          Bloom.add w.bloom a
+
+    let write_back w words =
+      for k = 0 to G.length w.addr - 1 do
+        R.set words (G.get w.addr k) (G.get w.value k)
+      done
+
+    let clear w =
+      G.clear w.addr;
+      G.clear w.value;
+      Bloom.clear w.bloom
+  end
 
   module type PROTOCOL = sig
     type p

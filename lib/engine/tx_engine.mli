@@ -6,7 +6,9 @@
     [atomically] retry loop with its serial-irrevocable escalation, the
     contention-management prologue and epilogue, back-off, the watchdog
     feed, the obs/chaos/san/fault taps, transactional allocation and the
-    allocation-failed budget.
+    allocation-failed budget.  So do the protocol pieces that more than
+    one family uses: the redo log, the contention verdict and the bounded
+    lock wait.
 
     A family supplies its protocol as a {!Frame.PROTOCOL} module and gets
     [atomically], [alloc], [free] and the statistics from {!Make}; its
@@ -90,6 +92,48 @@ module Frame (R : Tstm_runtime.Runtime_intf.S) : sig
   val free_deferred : ('p, 'x) inst -> ('p, 'x) desc -> unit
   (** Apply the transaction's logged frees; a protocol's commit calls it
       once its writes are published. *)
+
+  val cm_verdict :
+    ('p, 'x) inst -> ('p, 'x) desc -> int -> Tstm_cm.Cm.action
+  (** [cm_verdict t d enemy]: {!Tstm_cm.Cm.on_enemy} under the attempt's
+      policy, on the published priorities of [d] and then of [enemy] (in
+      the simulator that load order is virtual time). *)
+
+  val wait_unlocked : R.sarray -> int -> int -> bool
+  (** [wait_unlocked locks li n]: at most [n] rounds of yield, then re-read
+      [locks.(li)]; [true] as soon as its low bit (locked) is clear,
+      [false] when the bound runs out. *)
+
+  (** The redo log of the commit-time protocols (TL2, NOrec): buffered
+      writes as address/value entries, with a Bloom filter in front of the
+      read-after-write search.  In the simulator [find] charges
+      [c_bloom] = 3 cycles per call and [c_scan] = 1 per entry it scans. *)
+  module Redo : sig
+    type t
+
+    val create : unit -> t
+
+    val find : t -> int -> int option
+    (** The entry holding the newest write of an address, if any. *)
+
+    val value : t -> int -> int
+    (** The value of an entry. *)
+
+    val addr : t -> int -> int
+    (** The address of an entry; entries are numbered [0 .. length - 1]. *)
+
+    val length : t -> int
+    val is_empty : t -> bool
+
+    val put : t -> int -> int -> unit
+    (** [put w a v] buffers [v] for [a]: overwrites [a]'s entry or appends
+        one. *)
+
+    val write_back : t -> R.sarray -> unit
+    (** Store every entry into the word array, oldest first. *)
+
+    val clear : t -> unit
+  end
 
   (** What a family supplies: its concurrency-control protocol. *)
   module type PROTOCOL = sig

@@ -21,12 +21,10 @@
 module Mono = Tstm_obs.Monotonic
 module Bitops = Tstm_util.Bitops
 
-type point = Lock_cas | Clock_read | Clock_inc | Commit | Abort
+type point = Clock_read | Commit | Abort
 
 let point_name = function
-  | Lock_cas -> "lock-cas"
   | Clock_read -> "clock-read"
-  | Clock_inc -> "clock-inc"
   | Commit -> "commit"
   | Abort -> "abort"
 

@@ -20,9 +20,10 @@
     consultation is guarded by the one boolean load of {!enabled}, so a
     disarmed plan leaves real-domain runs byte-identical. *)
 
-(** Linearization points where crash/hang faults may fire (mirrors
-    {!Tstm_chaos.Chaos.point}). *)
-type point = Lock_cas | Clock_read | Clock_inc | Commit | Abort
+(** Linearization points where crash/hang faults may fire: the
+    transaction engine consults the begin-time clock read, the commit and
+    the abort (the same-named {!Tstm_chaos.Chaos.point}s). *)
+type point = Clock_read | Commit | Abort
 
 val point_name : point -> string
 

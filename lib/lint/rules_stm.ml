@@ -24,16 +24,22 @@ let in_stm p =
 (* --- stm-lock-pairing ------------------------------------------------ *)
 
 (* The global sequence lock follows the same acquire/release discipline as
-   an orec slot; its Tap.seqlock producers are the machine-checkable
+   an orec slot; its San.seqlock annotations are the machine-checkable
    markers of the even-to-odd CAS and the publishing store. *)
 let lock_pairing_direct r =
   if suffix r [ "San"; "lock_acquire" ] then [ Acq ]
   else if suffix r [ "San"; "lock_release" ] then [ Rel ]
-  else if suffix r [ "Tap"; "seqlock_acquire" ] then [ Acq ]
-  else if suffix r [ "Tap"; "seqlock_release" ] then [ Rel ]
+  else if suffix r [ "San"; "seqlock_acquire" ] then [ Acq ]
+  else if suffix r [ "San"; "seqlock_release" ] then [ Rel ]
   else if suffix r [ "San"; "tx_abort" ] then [ Abt ]
   else if suffix r [ "Abort_exn" ] then [ Abt ]
   else []
+
+(* The protocol steps that end a transaction: [commit], [rollback] and
+   [serial_stamp] of [Tx_engine.Frame.PROTOCOL].  No barrier runs after
+   them, so an abort is no excuse there: a lock they can take they must
+   also release. *)
+let terminal_steps = [ "commit"; "rollback"; "serial_stamp" ]
 
 let stm_lock_pairing =
   let id = "stm-lock-pairing" in
@@ -41,32 +47,42 @@ let stm_lock_pairing =
     ~scope:in_stm
     ~doc:
       "every call path that can acquire an orec or the global sequence \
-       lock reaches a release or an abort within the module"
+       lock reaches a release or an abort within the module; a terminal \
+       protocol step (commit, rollback, serial_stamp) reaches a release"
     (File_pass
        (fun file ->
          match file.str with
          | None -> []
          | Some str ->
              let g = Astq.transitive_effects ~direct:lock_pairing_direct str in
+             let terminal (f : Astq.fn) = List.mem f.fn_name terminal_steps in
              List.filter_map
                (fun (f : Astq.fn) ->
                  let e = Astq.effects_of g f.fn_name in
-                 if
-                   List.mem Acq e
-                   && (not (List.mem Rel e))
-                   && not (List.mem Abt e)
-                 then
+                 let finding msg =
                    Some
                      (Finding.of_location ~rule:id ~severity:Finding.Error
-                        f.fn_loc
-                        (Printf.sprintf
-                           "entry point `%s` can acquire an orec \
-                            (San.lock_acquire reachable) but reaches \
-                            neither a release (San.lock_release) nor an \
-                            abort (San.tx_abort)"
-                           f.fn_name))
+                        f.fn_loc msg)
+                 in
+                 if not (List.mem Acq e) || List.mem Rel e then None
+                 else if terminal f then
+                   finding
+                     (Printf.sprintf
+                        "terminal protocol step `%s` can acquire an orec or \
+                         the sequence lock but never reaches a release \
+                         (San.lock_release, San.seqlock_release); an abort \
+                         does not excuse a step that ends the transaction"
+                        f.fn_name)
+                 else if not (List.mem Abt e) then
+                   finding
+                     (Printf.sprintf
+                        "entry point `%s` can acquire an orec \
+                         (San.lock_acquire reachable) but reaches \
+                         neither a release (San.lock_release) nor an \
+                         abort (San.tx_abort)"
+                        f.fn_name)
                  else None)
-               g.roots))
+               (List.filter (fun f -> terminal f || List.memq f g.roots) g.fns)))
 
 (* --- vmm-charge ------------------------------------------------------ *)
 
@@ -119,7 +135,7 @@ let vmm_charge =
 let tap_pairs =
   [
     ([ "San"; "lock_acquire" ], [ "San"; "lock_release" ]);
-    ([ "Tap"; "seqlock_acquire" ], [ "Tap"; "seqlock_release" ]);
+    ([ "San"; "seqlock_acquire" ], [ "San"; "seqlock_release" ]);
     ([ "San"; "tx_begin" ], [ "San"; "tx_exit" ]);
     ([ "San"; "fence_owner_entry" ], [ "San"; "fence_owner_exit" ]);
     ([ "Tap"; "suspend" ], [ "Tap"; "resume" ]);

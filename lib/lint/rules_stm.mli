@@ -4,9 +4,11 @@
     - [stm-lock-pairing] (lib/engine and the three families): every entry
       point (a function no other function in the module references) from
       which an orec or sequence-lock acquire ([San.lock_acquire],
-      [Tap.seqlock_acquire]) is reachable must also reach a release
-      ([San.lock_release], [Tap.seqlock_release]) or an abort
-      ([San.tx_abort] / [Abort_exn]).
+      [San.seqlock_acquire]) is reachable must also reach a release
+      ([San.lock_release], [San.seqlock_release]) or an abort
+      ([San.tx_abort] / [Abort_exn]).  A protocol step that ends the
+      transaction ([commit], [rollback], [serial_stamp]) must reach a
+      release; an abort does not excuse it.
     - [vmm-charge] (lib/engine, the three families, lib/structures): raw
       Vmm word accesses ([V.load]/[V.store]) are only reachable from entry
       points that charge Sim_sched cycles.

@@ -1,29 +1,24 @@
 (* NOrec: no ownership records, one global sequence lock, value-based
-   validation (Dalessandro, Spear, Scott; PPoPP 2010).  Shares the redo-log
-   write set and Bloom read-after-write reject with TL2, and the whole
-   transaction lifecycle with every family ([Tstm_engine.Tx_engine]), but
-   replaces the lock array with a single seqlock word: even = timestamp,
-   odd = a writer mid-commit. *)
+   validation (Dalessandro, Spear, Scott; PPoPP 2010).  Shares the redo log
+   ([Frame.Redo]) with TL2 and the whole transaction lifecycle with every
+   family ([Tstm_engine.Tx_engine]), but replaces the lock array with a
+   single seqlock word: even = timestamp, odd = a writer mid-commit.  The
+   seqlock's acquire, release and validate edges are annotated for the
+   sanitizer like every other protocol step, with [San] calls under
+   [san_on ()]. *)
 
 module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   module Engine = Tstm_engine.Tx_engine
   module F = Engine.Frame (R)
   module V = F.V
   module G = Tstm_util.Growbuf
-  module Bloom = Tstm_util.Bloom
   module Stats = Tstm_tm.Tm_stats
   module Obs = Tstm_obs
   module Chaos = Tstm_chaos.Chaos
+  module San = Tstm_san.San
   open F
 
   let name = "norec"
-
-  (* Sanitizer sync-edge annotations.  The seqlock edges go through the
-     generic {!Tstm_runtime.Tap} producers (which self-gate on the armed
-     tap); the per-transaction annotations call {!Tstm_san.San} directly
-     like the other STMs. *)
-  module San = Tstm_san.San
-  module Tap = Tstm_runtime.Tap
 
   (* Contention management.  A held sequence lock always belongs to a
      finite committing writer, so the kill-capable policies degenerate to
@@ -47,10 +42,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
        any transaction fast-forward instead of aborting. *)
     r_addr : G.t;
     r_val : G.t;
-    (* Redo-log write set with a Bloom read-after-write fast reject. *)
-    w_addr : G.t;
-    w_val : G.t;
-    bloom : Bloom.t;
+    w : Redo.t;  (* the buffered writes *)
   }
 
   type t = (unit, local) inst
@@ -67,17 +59,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     {
       r_addr = G.create 64;
       r_val = G.create 64;
-      w_addr = G.create 32;
-      w_val = G.create 32;
-      bloom = Bloom.create ();
+      w = Redo.create ();
     }
 
   let clear x =
     G.clear x.r_addr;
     G.clear x.r_val;
-    G.clear x.w_addr;
-    G.clear x.w_val;
-    Bloom.clear x.bloom
+    Redo.clear x.w
 
   (* The contention decision on an observed held sequence lock.  Returning
      means "wait for the (finite) commit to finish"; the policies that
@@ -88,16 +76,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     | Cm.Suicide -> raise (Engine.Abort_exn reason)
     | Cm.Karma | Cm.Greedy ->
         let enemy = R.get t.ctl committer_slot in
-        if enemy <> d.tid then begin
-          let self_prio = R.get t.prios (flag_slot d.tid) in
-          let enemy_prio = R.get t.prios (flag_slot enemy) in
-          match
-            Cm.on_enemy d.eff_cm ~self_prio ~enemy_prio ~self_tid:d.tid
-              ~enemy_tid:enemy
-          with
+        if enemy <> d.tid then
+          match cm_verdict t d enemy with
           | Cm.Kill_enemy -> ()  (* winner waits out the finite commit *)
           | Cm.Abort_now | Cm.Wait_retry -> raise (Engine.Abort_exn reason)
-        end
 
   (* Sample the sequence word until it is even; consult the contention
      manager at every held observation. *)
@@ -148,30 +130,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       let time = validate t d ~reason in
       d.rv <- time;
       d.stats.Stats.extensions <- d.stats.Stats.extensions + 1;
-      Tap.seqlock_validate ~value:time
+      if san_on () then San.seqlock_validate ~cpu:d.tid ~value:time
     end
 
   (* ------------------------------------------------------------------ *)
   (* Read and write barriers                                             *)
   (* ------------------------------------------------------------------ *)
-
-  let c_bloom = 3
-  let c_scan = 1
-
-  (* Search the write set backwards so the most recent write wins. *)
-  let write_set_find x addr =
-    R.charge_local c_bloom;
-    if Bloom.may_contain x.bloom addr then begin
-      let rec go k =
-        if k < 0 then None
-        else begin
-          R.charge_local c_scan;
-          if G.get x.w_addr k = addr then Some k else go (k - 1)
-        end
-      in
-      go (G.length x.w_addr - 1)
-    end
-    else None
 
   let read_word (t : t) (d : tx) addr =
     R.charge_local c_op;
@@ -180,10 +144,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       R.get (V.words t.mem) addr
     end
     else
-      match if d.read_only then None else write_set_find d.x addr with
+      match if d.read_only then None else Redo.find d.x.w addr with
       | Some k ->
           d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-          G.get d.x.w_val k
+          Redo.value d.x.w k
       | None ->
           let words = V.words t.mem in
           let v = ref (R.get words addr) in
@@ -211,12 +175,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       R.set (V.words t.mem) addr v
     end
     else begin
-      (match write_set_find d.x addr with
-      | Some k -> G.set d.x.w_val k v
-      | None ->
-          G.push d.x.w_addr addr;
-          G.push d.x.w_val v;
-          Bloom.add d.x.bloom addr);
+      Redo.put d.x.w addr v;
       d.stats.Stats.writes <- d.stats.Stats.writes + 1
     end
 
@@ -243,12 +202,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
          else begin
            let time = validate t d ~reason:Stats.Write_conflict in
            d.rv <- time;
-           Tap.seqlock_validate ~value:time
+           if san_on () then San.seqlock_validate ~cpu:d.tid ~value:time
          end);
       if chaos_on () then chaos_point Chaos.Lock_cas;
       if not (R.cas t.ctl seq_slot d.rv (d.rv + 1)) then acquire_seq t d
       else begin
-        Tap.seqlock_acquire ~drawn:(d.rv + 2);
+        if san_on () then San.seqlock_acquire ~cpu:d.tid ~drawn:(d.rv + 2);
         if t.cm_active then R.set t.ctl committer_slot d.tid;
         if chaos_on () then chaos_point Chaos.Lock_cas;
         if obs_on () then emit (Obs.Event.Lock_acquire { lock = 0 })
@@ -258,23 +217,20 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   (* Returns the serialization stamp: the published sequence value for
      writers, the snapshot for lock-free commits. *)
   let commit (t : t) (d : tx) =
-    if G.length d.x.w_addr = 0 && G.length d.f_addr = 0 then
+    if Redo.is_empty d.x.w && G.length d.f_addr = 0 then
       (* Lock-free commit: no CAS, no store, nothing to publish. *)
       d.rv
     else begin
       acquire_seq t d;
       if chaos_on () then chaos_point Chaos.Commit;
       let wv = d.rv + 2 in
-      let words = V.words t.mem in
-      for k = 0 to G.length d.x.w_addr - 1 do
-        R.set words (G.get d.x.w_addr k) (G.get d.x.w_val k)
-      done;
+      Redo.write_back d.x.w (V.words t.mem);
       (* The snapshot-consistency check must see the write set still under
          the sequence lock, before the new even value is published. *)
       if san_on () then San.commit_publish ~cpu:d.tid ~wv;
       if chaos_on () then chaos_point Chaos.Clock_inc;
       R.set t.ctl seq_slot wv;
-      Tap.seqlock_release ();
+      if san_on () then San.seqlock_release ~cpu:d.tid;
       if obs_on () then emit (Obs.Event.Lock_release { lock = 0 });
       free_deferred t d;
       wv
@@ -291,10 +247,12 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     let s = R.get t.ctl seq_slot in
     let wv = s + 2 in
     ignore (R.cas t.ctl seq_slot s (s + 1));
-    Tap.seqlock_acquire ~drawn:wv;
-    if san_on () then San.commit_publish ~cpu:d.tid ~wv;
+    if san_on () then begin
+      San.seqlock_acquire ~cpu:d.tid ~drawn:wv;
+      San.commit_publish ~cpu:d.tid ~wv
+    end;
     R.set t.ctl seq_slot wv;
-    Tap.seqlock_release ();
+    if san_on () then San.seqlock_release ~cpu:d.tid;
     wv
 
   (* The begin-time snapshot: wait for an even sequence value.  No

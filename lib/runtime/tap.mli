@@ -5,6 +5,11 @@
     time and in results, from the untouched code.  Hooks never charge
     simulator cycles; a tapped run is bit-identical to an untapped one.
 
+    The tap carries memory events only: what the runtime and the
+    allocator do to shared words.  Protocol steps (lock acquire and
+    release, clock draws, the NOrec sequence lock) are annotated by the
+    STM families themselves, with direct {!Tstm_san.San} calls.
+
     Consumers (the {!Tstm_san} happens-before sanitizer) install a {!hooks}
     record; producers are:
 
@@ -35,20 +40,6 @@ type hooks = {
   on_run_boundary : unit -> unit;
       (** Start or end of a simulated run: a real full synchronization
           (threads are forked/joined there). *)
-  on_seqlock_acquire : cpu:int -> drawn:int -> unit;
-      (** [cpu] won the global sequence lock (the CAS even→odd); [drawn]
-          is the even version it will publish at release.  Orec-free STMs
-          (NOrec) have no per-stripe locks: this acquire/release pair is
-          their only write-side synchronization edge. *)
-  on_seqlock_release : cpu:int -> unit;
-      (** [cpu] published [drawn] and released the sequence lock
-          (odd→even): a release edge every later acquirer/validator
-          synchronizes with. *)
-  on_seqlock_validate : cpu:int -> value:int -> unit;
-      (** [cpu] completed a successful value-based revalidation of its
-          read set against the (even) sequence value [value]: an acquire
-          edge from every earlier release, re-certifying the whole read
-          set at that snapshot. *)
 }
 
 val install : hooks option -> unit
@@ -73,7 +64,3 @@ val vmm_store : addr:int -> unit
 val vmm_alloc : addr:int -> len:int -> unit
 val vmm_free : addr:int -> len:int -> unit
 val run_boundary : unit -> unit
-
-val seqlock_acquire : drawn:int -> unit
-val seqlock_release : unit -> unit
-val seqlock_validate : value:int -> unit

@@ -624,10 +624,6 @@ let on_vmm_free ~cpu ~addr ~len =
       done
   | _ -> ()
 
-let on_seqlock_acquire ~cpu ~drawn = seqlock_acquire ~cpu ~drawn
-let on_seqlock_release ~cpu = seqlock_release ~cpu
-let on_seqlock_validate ~cpu ~value = seqlock_validate ~cpu ~value
-
 let on_run_boundary () =
   match !state with
   | Some s ->
@@ -658,9 +654,6 @@ let arm ?(max_findings = 64) ~ncpus () =
          on_vmm_alloc;
          on_vmm_free;
          on_run_boundary;
-         on_seqlock_acquire;
-         on_seqlock_release;
-         on_seqlock_validate;
        })
 
 let disarm () =

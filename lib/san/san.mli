@@ -160,12 +160,12 @@ val tx_exit : cpu:int -> committed:bool -> unit
     Orec-free STMs synchronize through a single global sequence lock: even
     values are timestamps, a committing writer CASes it odd, writes back,
     and publishes the next even value.  These annotations (slot 0 of the
-    ["seqlock"] label; normally driven through the
-    {!Tstm_runtime.Tap.seqlock_acquire} family of producers) carry the
-    whole happens-before structure of such an STM: acquire/release edges
-    through the lock, plus re-certification of the read set on every
-    passed value-based validation — which is what makes value validation
-    admissible to this version-based sanitizer without false positives. *)
+    ["seqlock"] label; NOrec calls them directly under {!enabled}, like
+    every other protocol annotation) carry the whole happens-before
+    structure of such an STM: acquire/release edges through the lock,
+    plus re-certification of the read set on every passed value-based
+    validation — which is what makes value validation admissible to this
+    version-based sanitizer without false positives. *)
 
 val seqlock_acquire : cpu:int -> drawn:int -> unit
 (** The even→odd commit CAS succeeded; [drawn] is the even version the

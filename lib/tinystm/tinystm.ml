@@ -312,44 +312,29 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     end
     else false
 
-  (* Bounded wait on a foreign lock (paper §3.1: "the transaction can try to
-     wait for some time or abort immediately" — the paper picks immediate
-     abort, our default; [conflict_wait] attempts enable the alternative).
-     The wait must be bounded or two transactions blocked on each other's
-     locks would deadlock.  Returns whether the lock was observed free. *)
-  let rec wait_bounded (t : t) li attempts =
-    if attempts <= 0 then false
-    else begin
-      R.yield ();
-      if Lockenc.is_locked (R.get t.p.locks li) then
-        wait_bounded t li (attempts - 1)
-      else true
-    end
-
   (* What to do about the foreign owner of lock [li].  Returns whether the
      lock was observed free (retry the barrier) — false means abort self.
-     The [Backoff]/[Serialize] arm is exactly the historical behaviour; the
-     kill-capable policies read both parties' published priorities, consult
-     the pure decision table, and either flag the enemy for remote abort or
-     wait for it, always with a bounded spin (an unbounded wait would
-     deadlock two transactions blocked on each other's orecs, and a kill
-     victim polls its flag only at barrier entry). *)
+     The [Backoff]/[Serialize] arm is exactly the historical behaviour: a
+     bounded wait of [conflict_wait] rounds (paper §3.1: "the transaction
+     can try to wait for some time or abort immediately" — the paper picks
+     immediate abort, our default).  The kill-capable policies consult the
+     decision table on both parties' published priorities and either flag
+     the enemy for remote abort or wait for it, always with a bounded spin
+     (an unbounded wait would deadlock two transactions blocked on each
+     other's orecs, and a kill victim polls its flag only at barrier
+     entry). *)
   let resolve_conflict (t : t) (d : tx) li enemy =
     match d.eff_cm with
-    | Cm.Backoff | Cm.Serialize _ -> wait_bounded t li t.p.conflict_wait
+    | Cm.Backoff | Cm.Serialize _ ->
+        wait_unlocked t.p.locks li t.p.conflict_wait
     | Cm.Suicide -> false
     | Cm.Karma | Cm.Greedy -> (
-        let self_prio = R.get t.prios (flag_slot d.tid) in
-        let enemy_prio = R.get t.prios (flag_slot enemy) in
-        match
-          Cm.on_enemy d.eff_cm ~self_prio ~enemy_prio ~self_tid:d.tid
-            ~enemy_tid:enemy
-        with
+        match cm_verdict t d enemy with
         | Cm.Abort_now -> false
-        | Cm.Wait_retry -> wait_bounded t li Cm.wait_bound
+        | Cm.Wait_retry -> wait_unlocked t.p.locks li Cm.wait_bound
         | Cm.Kill_enemy ->
             R.set t.kill_flags (flag_slot enemy) 1;
-            wait_bounded t li Cm.wait_bound)
+            wait_unlocked t.p.locks li Cm.wait_bound)
 
   (* Remote-abort poll: a kill-capable enemy flagged us; honour it at the
      next barrier entry (never while irrevocable — those run alone inside
@@ -555,50 +540,31 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   (* Commit and rollback                                                 *)
   (* ------------------------------------------------------------------ *)
 
-  let release_locks_commit (t : t) (d : tx) wv =
-    let n = G.length d.x.l_idx in
-    let tracing = obs_on () in
-    let sanning = san_on () in
-    for k = 0 to n - 1 do
-      R.set t.p.locks (G.get d.x.l_idx k)
-        (Lockenc.unlocked ~version:wv ~incarnation:0);
-      if sanning then San.lock_release ~cpu:d.tid ~lock:(G.get d.x.l_idx k);
-      if tracing then emit (Obs.Event.Lock_release { lock = G.get d.x.l_idx k })
-    done
-
-  let release_locks_abort (t : t) (d : tx) =
+  (* Release every acquired lock, storing [word old] over the lock whose
+     pre-acquisition word was [old]. *)
+  let release_locks (t : t) (d : tx) word =
     let x = d.x in
-    let n = G.length x.l_idx in
     let tracing = obs_on () in
     let sanning = san_on () in
-    let released k =
+    for k = 0 to G.length x.l_idx - 1 do
+      R.set t.p.locks (G.get x.l_idx k) (word (G.get x.l_old k));
       if sanning then San.lock_release ~cpu:d.tid ~lock:(G.get x.l_idx k);
       if tracing then emit (Obs.Event.Lock_release { lock = G.get x.l_idx k })
-    in
+    done
+
+  (* The lock word an abort leaves behind.  Write-back never touched
+     memory: restore the previous word.  Write-through wrote and restored
+     memory: bump the incarnation so a racing reader that sampled the lock
+     before our acquisition cannot pass its lock/re-check (paper §3.1); on
+     incarnation overflow, take a fresh version from the clock. *)
+  let aborted_word (t : t) old =
     match t.p.cfg.Config.strategy with
-    | Config.Write_back ->
-        (* Memory was never touched: restore the previous lock words. *)
-        for k = 0 to n - 1 do
-          R.set t.p.locks (G.get x.l_idx k) (G.get x.l_old k);
-          released k
-        done
+    | Config.Write_back -> old
     | Config.Write_through ->
-        (* Memory was written and restored: bump the incarnation so a racing
-           reader that sampled the lock before our acquisition cannot pass
-           its lock/re-check (paper §3.1).  On incarnation overflow, take a
-           fresh version from the clock. *)
-        for k = 0 to n - 1 do
-          let old = G.get x.l_old k in
-          let inc = Lockenc.incarnation old + 1 in
-          let word =
-            if inc <= Lockenc.max_incarnation then
-              Lockenc.unlocked ~version:(Lockenc.version old) ~incarnation:inc
-            else
-              Lockenc.unlocked ~version:(R.get t.ctl clock_slot) ~incarnation:0
-          in
-          R.set t.p.locks (G.get x.l_idx k) word;
-          released k
-        done
+        let inc = Lockenc.incarnation old + 1 in
+        if inc <= Lockenc.max_incarnation then
+          Lockenc.unlocked ~version:(Lockenc.version old) ~incarnation:inc
+        else Lockenc.unlocked ~version:(R.get t.ctl clock_slot) ~incarnation:0
 
   (* Returns the serialization stamp: the commit version [wv] for updates,
      the snapshot bound [rv] for lock-free transactions. *)
@@ -624,7 +590,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       (* The snapshot-consistency check must see the write set still under
          lock, before any orec is released. *)
       if san_on () then San.commit_publish ~cpu:d.tid ~wv;
-      release_locks_commit t d wv;
+      release_locks t d (fun _ -> Lockenc.unlocked ~version:wv ~incarnation:0);
       free_deferred t d;
       wv
     end
@@ -641,7 +607,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     (* Shadow state must be restored while the orecs still protect the
        written words, i.e. before the releases below. *)
     if san_on () then San.tx_abort ~cpu:d.tid;
-    release_locks_abort t d
+    release_locks t d (aborted_word t)
 
   (* The serial commit's stamp.  A clock wrap is handled inline: we already
      own a quiescent instance, which is all [roll_over] exists to

@@ -3,7 +3,6 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   module F = Engine.Frame (R)
   module V = F.V
   module G = Tstm_util.Growbuf
-  module Bloom = Tstm_util.Bloom
   module Stats = Tstm_tm.Tm_stats
   module Obs = Tstm_obs
   module Chaos = Tstm_chaos.Chaos
@@ -37,11 +36,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   type local = {
     (* Read set: (lock index, observed version) pairs, flattened. *)
     r_set : G.t;
-    (* Write set: parallel address/value arrays plus a Bloom filter for the
-       read-after-write fast reject. *)
-    w_addr : G.t;
-    w_val : G.t;
-    bloom : Bloom.t;
+    w : Redo.t;  (* the buffered writes *)
     (* Locks acquired during commit, with their previous words. *)
     l_idx : G.t;
     l_old : G.t;
@@ -59,28 +54,16 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
   let local _ =
     {
       r_set = G.create 64;
-      w_addr = G.create 32;
-      w_val = G.create 32;
-      bloom = Bloom.create ();
+      w = Redo.create ();
       l_idx = G.create 32;
       l_old = G.create 32;
     }
 
   let clear x =
     G.clear x.r_set;
-    G.clear x.w_addr;
-    G.clear x.w_val;
-    Bloom.clear x.bloom;
+    Redo.clear x.w;
     G.clear x.l_idx;
     G.clear x.l_old
-
-  let rec wait_bounded (t : t) li attempts =
-    if attempts <= 0 then false
-    else begin
-      R.yield ();
-      if is_locked (R.get t.p.locks li) then wait_bounded t li (attempts - 1)
-      else true
-    end
 
   (* What to do about the committing owner of lock [li].  Returns whether
      the lock was observed free (re-run the failing step) — false means
@@ -95,40 +78,18 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
     match d.eff_cm with
     | Cm.Backoff | Cm.Serialize _ | Cm.Suicide -> false
     | Cm.Karma | Cm.Greedy -> (
-        let self_prio = R.get t.prios (flag_slot d.tid) in
-        let enemy_prio = R.get t.prios (flag_slot enemy) in
-        match
-          Cm.on_enemy d.eff_cm ~self_prio ~enemy_prio ~self_tid:d.tid
-            ~enemy_tid:enemy
-        with
-        | Cm.Kill_enemy -> wait_bounded t li Cm.wait_bound
+        match cm_verdict t d enemy with
+        | Cm.Kill_enemy -> wait_unlocked t.p.locks li Cm.wait_bound
         | Cm.Abort_now | Cm.Wait_retry -> false)
 
   (* ------------------------------------------------------------------ *)
   (* Read and write barriers                                             *)
   (* ------------------------------------------------------------------ *)
 
-  (* Cycle costs of TL2's bookkeeping that TinySTM does not pay: the Bloom
-     filter consulted on every access of an update transaction, and linear
-     write-set / acquired-lock scans (TinySTM's locks point straight into the
-     owner's write log, paper §3.1). *)
-  let c_bloom = 3
+  (* Cycle cost per entry of the linear acquired-lock scan at commit
+     (TinySTM's locks point straight into the owner's write log, paper
+     §3.1); [Redo] charges its own lookups. *)
   let c_scan = 1
-
-  (* Search the write set backwards so the most recent write wins. *)
-  let write_set_find x addr =
-    R.charge_local c_bloom;
-    if Bloom.may_contain x.bloom addr then begin
-      let rec go k =
-        if k < 0 then None
-        else begin
-          R.charge_local c_scan;
-          if G.get x.w_addr k = addr then Some k else go (k - 1)
-        end
-      in
-      go (G.length x.w_addr - 1)
-    end
-    else None
 
   let rec read_word (t : t) (d : tx) addr =
     R.charge_local c_op;
@@ -138,10 +99,10 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       R.get (V.words t.mem) addr
     end
     else
-    match if d.read_only then None else write_set_find d.x addr with
+    match if d.read_only then None else Redo.find d.x.w addr with
     | Some k ->
         d.stats.Stats.reads <- d.stats.Stats.reads + 1;
-        G.get d.x.w_val k
+        Redo.value d.x.w k
     | None ->
         let li = lock_index t addr in
         let l1 = R.get t.p.locks li in
@@ -177,30 +138,30 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       R.set (V.words t.mem) addr v
     end
     else begin
-    (match write_set_find d.x addr with
-    | Some k -> G.set d.x.w_val k v
-    | None ->
-        G.push d.x.w_addr addr;
-        G.push d.x.w_val v;
-        Bloom.add d.x.bloom addr);
-    d.stats.Stats.writes <- d.stats.Stats.writes + 1
+      Redo.put d.x.w addr v;
+      d.stats.Stats.writes <- d.stats.Stats.writes + 1
     end
 
   (* ------------------------------------------------------------------ *)
   (* Commit                                                              *)
   (* ------------------------------------------------------------------ *)
 
-  let release_acquired (t : t) (d : tx) =
+  (* Release every acquired lock, storing [word old] over the lock whose
+     pre-acquisition word was [old]: the new version at commit, [old]
+     itself on abort. *)
+  let release_locks (t : t) (d : tx) word =
     let x = d.x in
     let tracing = obs_on () in
     let sanning = san_on () in
     for k = 0 to G.length x.l_idx - 1 do
-      R.set t.p.locks (G.get x.l_idx k) (G.get x.l_old k);
+      R.set t.p.locks (G.get x.l_idx k) (word (G.get x.l_old k));
       if sanning then San.lock_release ~cpu:d.tid ~lock:(G.get x.l_idx k);
       if tracing then emit (Obs.Event.Lock_release { lock = G.get x.l_idx k })
     done;
     G.clear x.l_idx;
     G.clear x.l_old
+
+  let release_acquired t d = release_locks t d Fun.id
 
   let owns_lock x li =
     let rec go k =
@@ -250,8 +211,8 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         end
       end
     in
-    for k = 0 to G.length x.w_addr - 1 do
-      let li = lock_index t (G.get x.w_addr k) in
+    for k = 0 to Redo.length x.w - 1 do
+      let li = lock_index t (Redo.addr x.w k) in
       if not (owns_lock x li) then take li
     done
 
@@ -283,7 +244,7 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
      transactions with nothing to publish. *)
   let commit (t : t) (d : tx) =
     let x = d.x in
-    if G.length x.w_addr = 0 && G.length d.f_addr = 0 then d.rv
+    if Redo.is_empty x.w && G.length d.f_addr = 0 then d.rv
     else begin
       acquire_write_locks t d;
       if chaos_on () then chaos_point Chaos.Clock_inc;
@@ -298,20 +259,11 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
         release_acquired t d;
         raise (Engine.Abort_exn Stats.Validation_failed)
       end;
-      let words = V.words t.mem in
-      for k = 0 to G.length x.w_addr - 1 do
-        R.set words (G.get x.w_addr k) (G.get x.w_val k)
-      done;
+      Redo.write_back x.w (V.words t.mem);
       (* The snapshot-consistency check must see the write set still under
          lock, before any orec is released. *)
       if san_on () then San.commit_publish ~cpu:d.tid ~wv;
-      let tracing = obs_on () in
-      let sanning = san_on () in
-      for k = 0 to G.length x.l_idx - 1 do
-        R.set t.p.locks (G.get x.l_idx k) (unlocked ~version:wv);
-        if sanning then San.lock_release ~cpu:d.tid ~lock:(G.get x.l_idx k);
-        if tracing then emit (Obs.Event.Lock_release { lock = G.get x.l_idx k })
-      done;
+      release_locks t d (fun _ -> unlocked ~version:wv);
       free_deferred t d;
       wv
     end

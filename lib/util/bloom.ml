@@ -17,5 +17,3 @@ let add t addr = t.bits <- t.bits lor mask addr
 let may_contain t addr =
   let m = mask addr in
   t.bits land m = m
-
-let saturated t = t.bits = (1 lsl word_bits) - 1

@@ -15,6 +15,3 @@ val add : t -> int -> unit
 
 val may_contain : t -> int -> bool
 (** Never returns [false] for an added address. *)
-
-val saturated : t -> bool
-(** All bits set: every query answers [true] (diagnostic). *)

@@ -1,2 +1,2 @@
-val publish : int -> unit
-val release : unit -> unit
+val publish : int -> int -> unit
+val release : int -> unit

@@ -1,4 +1,4 @@
 (* Clean fixture: the acquiring entry point either releases or aborts. *)
-let publish drawn ok =
-  Tap.seqlock_acquire ~drawn;
-  if ok then Tap.seqlock_release () else raise (Abort_exn Validation_failed)
+let publish cpu drawn ok =
+  San.seqlock_acquire ~cpu ~drawn;
+  if ok then San.seqlock_release ~cpu else raise (Abort_exn Validation_failed)

@@ -1,1 +1,1 @@
-val publish : int -> bool -> unit
+val publish : int -> int -> bool -> unit

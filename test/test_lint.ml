@@ -79,6 +79,9 @@ let test_exact_lines () =
     ~path:(corpus ^ "/lib/engine/bad_lock_pairing.ml")
     ~line:4 ~rule:"stm-lock-pairing";
   expect
+    ~path:(corpus ^ "/lib/engine/bad_commit_release.ml")
+    ~line:8 ~rule:"stm-lock-pairing";
+  expect
     ~path:(corpus ^ "/lib/engine/bad_vmm_charge.ml")
     ~line:3 ~rule:"vmm-charge";
   expect ~path:(corpus ^ "/lib/vmm/bad_layering.ml") ~line:3 ~rule:"layering";

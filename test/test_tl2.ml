@@ -1,6 +1,7 @@
-(* Tests for the TL2 baseline: Bloom filter properties, commit-time locking
-   semantics, isolation, and TL2-specific behaviour (no extension, buffered
-   writes invisible before commit). *)
+(* Tests for the TL2 baseline: Bloom filter properties, the redo log TL2
+   shares with NOrec, commit-time locking semantics, isolation, and
+   TL2-specific behaviour (no extension, buffered writes invisible before
+   commit). *)
 
 open Tstm_tl2
 module Bloom = Tstm_util.Bloom
@@ -47,6 +48,102 @@ let test_bloom_selective () =
     (Printf.sprintf "few false positives (%d/1001)" !false_positives)
     true
     (!false_positives < 300)
+
+(* ------------------------------------------------------------------ *)
+(* Redo log (Tx_engine.Frame.Redo), against an association-list model  *)
+(* ------------------------------------------------------------------ *)
+
+module Redo_tests (R : Tstm_runtime.Runtime_intf.S) () = struct
+  module F = Tstm_engine.Tx_engine.Frame (R)
+  module Redo = F.Redo
+
+  let check_opt = Alcotest.(check (option int))
+  let lookup w a = Option.map (Redo.value w) (Redo.find w a)
+  let of_writes writes =
+    let w = Redo.create () in
+    List.iter (fun (a, v) -> Redo.put w a v) writes;
+    w
+
+  (* The model: the newest write of each address wins. *)
+  let model writes a = List.assoc_opt a (List.rev writes)
+
+  (* In the simulator, the cycles one [find] charges. *)
+  let find_cost w a =
+    let c = ref 0 in
+    R.run ~nthreads:1 (fun _ ->
+        let t0 = R.now_cycles () in
+        ignore (Redo.find w a);
+        c := R.now_cycles () - t0);
+    !c
+
+  let test_unit () =
+    let writes = [ (5, 10); (7, 70); (5, 11); (9, 90); (7, 71) ] in
+    let w = of_writes writes in
+    check_opt "newest write of 5" (Some 11) (lookup w 5);
+    check_opt "newest write of 7" (Some 71) (lookup w 7);
+    check_opt "unwritten" None (lookup w 6);
+    check_int "one entry per address" 3 (Redo.length w);
+    (* An unwritten address the filter cannot reject still misses. *)
+    let b = Bloom.create () in
+    List.iter (fun (a, _) -> Bloom.add b a) writes;
+    let fp =
+      Seq.find
+        (fun a -> Bloom.may_contain b a && not (List.mem_assoc a writes))
+        (Seq.ints 10)
+      |> Option.get
+    in
+    check_opt "Bloom-positive unwritten" None (lookup w fp);
+    if R.is_simulated then begin
+      check_int "Bloom reject costs c_bloom" 3 (find_cost w 6);
+      check_int "full scan of a Bloom positive" (3 + 3) (find_cost w fp)
+    end;
+    let words = R.sarray_make 16 (-1) in
+    Redo.write_back w words;
+    List.iter
+      (fun a ->
+        check_int "written back" (Option.value (model writes a) ~default:(-1))
+          (R.get words a))
+      [ 5; 6; 7; 9 ];
+    Redo.clear w;
+    check_bool "empty after clear" true (Redo.is_empty w);
+    List.iter
+      (fun a -> check_opt "forgotten" None (lookup w a))
+      [ 5; 7; 9; fp ];
+    (* The filter was reset too: a cleared address is rejected without a
+       scan even once the log holds entries again. *)
+    Redo.put w 3 30;
+    if R.is_simulated then
+      check_int "cleared address rejected by the filter" 3 (find_cost w 5)
+
+  let prop_model =
+    QCheck.Test.make ~name:"redo log matches an association-list model"
+      ~count:300
+      QCheck.(list (pair (int_range 0 31) small_int))
+      (fun writes ->
+        let w = of_writes writes in
+        let addrs = List.init 40 Fun.id in
+        let words = R.sarray_make 40 (-1) in
+        Redo.write_back w words;
+        let found_ok =
+          List.for_all (fun a -> lookup w a = model writes a) addrs
+        in
+        let memory_ok =
+          List.for_all
+            (fun a ->
+              R.get words a = Option.value (model writes a) ~default:(-1))
+            addrs
+        in
+        Redo.clear w;
+        found_ok && memory_ok && Redo.is_empty w
+        && List.for_all (fun a -> Redo.find w a = None) addrs)
+
+  let tests =
+    Alcotest.test_case "newest wins, write-back, clear" `Quick test_unit
+    :: List.map QCheck_alcotest.to_alcotest [ prop_model ]
+end
+
+module Sim_redo = Redo_tests (Tstm_runtime.Runtime_sim) ()
+module Real_redo = Redo_tests (Tstm_runtime.Runtime_real) ()
 
 (* ------------------------------------------------------------------ *)
 (* TL2 semantics                                                      *)
@@ -245,6 +342,8 @@ let () =
       ( "bloom-props",
         List.map QCheck_alcotest.to_alcotest [ prop_bloom_no_false_negatives ]
       );
+      ("redo log (sim)", Sim_redo.tests);
+      ("redo log (domains)", Real_redo.tests);
       ("semantics (sim)", Sim_sem.tests);
       ("semantics (domains)", Real_sem.tests);
     ]
