@@ -232,46 +232,114 @@ module R = Tstm_runtime.Runtime_sim
 
 let all_structures = [ W.List; W.Rbtree; W.Skiplist; W.Hashset ]
 
-(* The stdout of `repro stress --seeds 25 --all-stms --all-structures
-   --max-retries 6 --san` for a clean sweep, rendered as the CLI does. *)
-let test_pinned_escalation_stress_digest () =
-  let seeds = 25 and stms = Scenario.all_stms in
-  let base = { St.default with St.max_retries = 6; san = true } in
-  let specs = St.plan ~seeds ~stms ~structures:all_structures base in
-  let res = Plan.execute ~jobs:2 (Array.map (fun s -> Job.Stress_run s) specs) in
-  check_bool "all runs ok" true (Plan.ok res);
-  let sw = St.summarize (stress_pairs specs res) in
-  check_bool "clean sweep" true (sw.St.first_failure = None);
-  check_int "escalations" 1575 sw.St.total_escalations;
-  let stdout =
-    Printf.sprintf
-      "stress: %d runs (%d seeds x %d stm x %d structures), %d ops checked, \
-       %d injections, %d commits, %d aborts, %d escalations\n\
-       zero serializability violations or sanitizer findings\n"
-      sw.St.runs seeds (List.length stms)
-      (List.length all_structures)
-      sw.St.total_events sw.St.total_injected sw.St.total_commits
-      sw.St.total_aborts sw.St.total_escalations
-  in
-  Alcotest.(check string)
-    "escalating stress digest pinned" "3389cc28eb9c13132b3d6869f1465a0c"
-    (digest stdout)
+(* Each pin below is split into one entry per registry STM, so a change
+   to one family's sequence of runtime operations moves only that
+   family's entries.  [per_stm label runs pins] makes one test case per
+   registry STM, comparing its entry of the shared (lazily computed,
+   registry-order) [runs] with its pin. *)
+let per_stm label (runs : (string * string) list Lazy.t) pins =
+  List.map
+    (fun stm ->
+      Alcotest.test_case
+        (Printf.sprintf "pinned digest: %s, %s" label stm)
+        `Quick
+        (fun () ->
+          let got = List.assoc stm (Lazy.force runs) in
+          match List.assoc_opt stm pins with
+          | None -> Alcotest.failf "no %s pin for %s (run gave %S)" label stm got
+          | Some pin ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s digest pinned, %s" label stm)
+                pin got))
+    Scenario.all_stms
 
-(* Storm reports of every registry STM under suicide with the watchdog
+(* The sweep of `repro stress --seeds 25 --all-stms --all-structures
+   --max-retries 6 --san`, summarised per STM over the same runs and
+   rendered as the CLI renders a one-STM sweep, with the escalation count
+   up front so a moved count reads off the failure directly. *)
+let escalation_seeds = 25
+
+let escalation_runs =
+  lazy
+    (let stms = Scenario.all_stms in
+     let base = { St.default with St.max_retries = 6; san = true } in
+     let specs =
+       St.plan ~seeds:escalation_seeds ~stms ~structures:all_structures base
+     in
+     let res =
+       Plan.execute ~jobs:2 (Array.map (fun s -> Job.Stress_run s) specs)
+     in
+     if not (Plan.ok res) then Alcotest.fail "escalating stress: a run failed";
+     let pairs = stress_pairs specs res in
+     List.map
+       (fun stm ->
+         let mine =
+           Array.of_list
+             (List.filter
+                (fun ((s : St.spec), _) -> s.St.stm = stm)
+                (Array.to_list pairs))
+         in
+         let sw = St.summarize mine in
+         if sw.St.first_failure <> None then
+           Alcotest.failf "escalating stress: %s sweep not clean" stm;
+         ( stm,
+           Printf.sprintf
+             "escalations=%d %s"
+             sw.St.total_escalations
+             (digest
+                (Printf.sprintf
+                   "stress: %d runs (%d seeds x 1 stm x %d structures), %d \
+                    ops checked, %d injections, %d commits, %d aborts, %d \
+                    escalations\n\
+                    zero serializability violations or sanitizer findings\n"
+                   sw.St.runs escalation_seeds
+                   (List.length all_structures)
+                   sw.St.total_events sw.St.total_injected
+                   sw.St.total_commits sw.St.total_aborts
+                   sw.St.total_escalations)) ))
+       stms)
+
+let escalation_pins =
+  [
+    ("tinystm-wb", "escalations=473 992d24e265e4b123c9905b252a588ffc");
+    ("tinystm-wt", "escalations=481 339bdecc5f7af003a1ad6cc03f63f58f");
+    ("tl2", "escalations=615 026f35f797a1cb00e17f930fb8be8222");
+    ("norec", "escalations=6 d93e50033fe092eda86fe380e0cf2a7a");
+  ]
+
+(* Storm reports of each registry STM under suicide with the watchdog
    armed, and under karma and greedy. *)
-let test_pinned_storm_digest () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (cm, watchdog) ->
-      List.iter
-        (fun stm ->
-          let r = Storm.run_one { Storm.default with Storm.stm; cm; watchdog } in
-          Buffer.add_string buf
-            (Format.asprintf "%s %-10s %a\n" cm stm Storm.pp_report r))
-        Scenario.all_stms)
-    [ ("suicide", true); ("karma", false); ("greedy", false) ];
-  Alcotest.(check string)
-    "storm digest pinned" "07fa44a2cc621d4a96ecf820110278fb" (digest (Buffer.contents buf))
+let storm_runs =
+  lazy
+    (let lines =
+       List.concat_map
+         (fun (cm, watchdog) ->
+           List.map
+             (fun stm ->
+               let r =
+                 Storm.run_one { Storm.default with Storm.stm; cm; watchdog }
+               in
+               (stm, Format.asprintf "%s %-10s %a\n" cm stm Storm.pp_report r))
+             Scenario.all_stms)
+         [ ("suicide", true); ("karma", false); ("greedy", false) ]
+     in
+     List.map
+       (fun stm ->
+         ( stm,
+           digest
+             (String.concat ""
+                (List.filter_map
+                   (fun (s, l) -> if s = stm then Some l else None)
+                   lines)) ))
+       Scenario.all_stms)
+
+let storm_pins =
+  [
+    ("tinystm-wb", "809efdbad782e5eb4f83929d2ac4a593");
+    ("tinystm-wt", "2dbd337906e7080f83084e3746672057");
+    ("tl2", "31413a3c5e33a800229b38495b645fe1");
+    ("norec", "6d205368acb13fa96da45a33725c796e");
+  ]
 
 (* TinySTM with a tiny clock: concurrent transactions roll the clock over
    through the fence (Rollover aborts and begin-time checks) while
@@ -317,11 +385,11 @@ let test_pinned_rollover_digest () =
   Alcotest.(check string) "roll-over digest pinned" "eed303d7916069ca6de9baabedce3463"
     (digest rendered)
 
-(* Every registry STM on [spec] from a fresh instance: the final
-   statistics and the latest final virtual time of any thread. *)
-let registry_run_digest spec =
-  let buf = Buffer.create 1024 in
-  List.iter
+(* Every registry STM on [spec] from a fresh instance, in registry order:
+   per STM, the digest of its final statistics and the latest final
+   virtual time of any thread. *)
+let registry_run_digests spec =
+  List.map
     (fun stm ->
       let (module M) = Tstm_tm.Registry.get stm in
       let module D = Tstm_harness.Driver.Make (R) (M) in
@@ -339,24 +407,29 @@ let registry_run_digest spec =
             D.step t ops spec ctx g pending
           done;
           fin := max !fin (R.now_cycles ()));
-      Buffer.add_string buf
-        (Printf.sprintf "%s %s end=%d\n" stm
-           (Tstm_obs.Json.to_string (Tstm_tm.Tm_stats.to_json (M.stats t)))
-           !fin))
-    Scenario.all_stms;
-  digest (Buffer.contents buf)
+      ( stm,
+        digest
+          (Printf.sprintf "%s %s end=%d\n" stm
+             (Tstm_obs.Json.to_string (Tstm_tm.Tm_stats.to_json (M.stats t)))
+             !fin) ))
+    Scenario.all_stms
 
 (* The repository benchmark's rbtree-read spec at seed 42 (65,536-node
    tree, 5 % updates, one thread).  This pins the single-thread path end
    to end, allocator cost included. *)
-let test_pinned_one_thread_digest () =
-  let spec =
-    W.make ~structure:W.Rbtree ~initial_size:65_536 ~key_range:131_072
-      ~update_pct:5.0 ~nthreads:1 ~duration:0.005 ~seed:42 ()
-  in
-  Alcotest.(check string)
-    "one-thread rbtree-read digest pinned" "3731369b01e3d9ccec89ddbec7147b1e"
-    (registry_run_digest spec)
+let one_thread_runs =
+  lazy
+    (registry_run_digests
+       (W.make ~structure:W.Rbtree ~initial_size:65_536 ~key_range:131_072
+          ~update_pct:5.0 ~nthreads:1 ~duration:0.005 ~seed:42 ()))
+
+let one_thread_pins =
+  [
+    ("tinystm-wb", "bb6f21dddb2a2a2f7d7a6712b14ab07f");
+    ("tinystm-wt", "719e0c333533418c930940547c69f194");
+    ("tl2", "60dec07bb091b16203d83040d7129bea");
+    ("norec", "b5ab7e345fd931615026f26cc5851e97");
+  ]
 
 (* The repository benchmark's two contended points at seed 42 under the
    default contention manager: sim-paper (list of 256, 20 % updates, 8
@@ -364,21 +437,33 @@ let test_pinned_one_thread_digest () =
    These run the redo-log write sets, the commit-time lock acquisition and
    every lock-release loop with real conflicts, no chaos and no
    escalation. *)
-let test_pinned_default_cm_digest () =
-  let sim_paper =
-    W.make ~structure:W.List ~initial_size:256 ~update_pct:20.0 ~nthreads:8
-      ~duration:0.002 ~seed:42 ()
-  in
-  let list_conflict =
-    W.make ~structure:W.List ~initial_size:256 ~key_range:512
-      ~update_pct:50.0 ~nthreads:2 ~duration:0.002 ~seed:42 ()
-  in
-  Alcotest.(check string)
-    "sim-paper digest pinned" "092af9b52ef81a8fbce7ca49bafd28f1"
-    (registry_run_digest sim_paper);
-  Alcotest.(check string)
-    "list-conflict digest pinned" "f5b6a6918049115d431ba44118b4964b"
-    (registry_run_digest list_conflict)
+let sim_paper_runs =
+  lazy
+    (registry_run_digests
+       (W.make ~structure:W.List ~initial_size:256 ~update_pct:20.0
+          ~nthreads:8 ~duration:0.002 ~seed:42 ()))
+
+let sim_paper_pins =
+  [
+    ("tinystm-wb", "2b7ccf2ea6fa683dec7f3a88e5a638c3");
+    ("tinystm-wt", "b8e1339eaae1c420488c8c1b210ca7af");
+    ("tl2", "295438bef88b7330abce7a5ca0efc9dd");
+    ("norec", "af332ca9116813dc0a87bee9fad40554");
+  ]
+
+let list_conflict_runs =
+  lazy
+    (registry_run_digests
+       (W.make ~structure:W.List ~initial_size:256 ~key_range:512
+          ~update_pct:50.0 ~nthreads:2 ~duration:0.002 ~seed:42 ()))
+
+let list_conflict_pins =
+  [
+    ("tinystm-wb", "e4c5b0cfcd8fda81c3cd4ecee9154d08");
+    ("tinystm-wt", "daec1ed3649ea42f1ffc533c7c16d7a0");
+    ("tl2", "c81eb3244e4cafb3d416314d1c915533");
+    ("norec", "a3eb1de73fe843dcf11be199a2945340");
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: a SIGKILLed worker is requeued, output unchanged    *)
@@ -434,15 +519,13 @@ let () =
             test_pinned_ablation_digest;
           Alcotest.test_case "pinned digest: tuner trace" `Quick
             test_pinned_tune_digest;
-          Alcotest.test_case "pinned digest: escalating stress, all STMs"
-            `Quick test_pinned_escalation_stress_digest;
-          Alcotest.test_case "pinned digest: CM storms, all STMs" `Quick
-            test_pinned_storm_digest;
           Alcotest.test_case "pinned digest: TinySTM roll-over" `Quick
             test_pinned_rollover_digest;
-          Alcotest.test_case "pinned digest: one-thread rbtree-read" `Quick
-            test_pinned_one_thread_digest;
-          Alcotest.test_case "pinned digest: default CM, several threads"
-            `Quick test_pinned_default_cm_digest;
-        ] );
+        ]
+        @ per_stm "escalating stress" escalation_runs escalation_pins
+        @ per_stm "CM storm" storm_runs storm_pins
+        @ per_stm "one-thread rbtree-read" one_thread_runs one_thread_pins
+        @ per_stm "sim-paper" sim_paper_runs sim_paper_pins
+        @ per_stm "list-conflict" list_conflict_runs list_conflict_pins
+        );
     ]
