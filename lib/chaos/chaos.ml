@@ -119,9 +119,6 @@ let seed () = match !state with Some p -> Some p.seed | None -> None
 let injected () = match !state with Some p -> p.fired | None -> 0
 let decisions () = match !state with Some p -> p.decisions | None -> 0
 
-let injected_at point =
-  match !state with Some p -> p.fired_at.(point_index point) | None -> 0
-
 let summary () =
   match !state with
   | None -> "chaos: inactive"
@@ -156,11 +153,6 @@ type bug = Skip_extension | Skip_validation
 let bug_name = function
   | Skip_extension -> "skip-extension"
   | Skip_validation -> "skip-validation"
-
-let bug_of_string = function
-  | "skip-extension" -> Some Skip_extension
-  | "skip-validation" -> Some Skip_validation
-  | _ -> None
 
 let bugged = ref false
 let bug : bug option ref = ref None

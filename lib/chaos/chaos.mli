@@ -69,7 +69,6 @@ val seed : unit -> int option
 val injected : unit -> int
 (** Injections fired so far under the current plan. *)
 
-val injected_at : point -> int
 val decisions : unit -> int
 (** Injection decisions drawn so far (fired or not). *)
 
@@ -92,7 +91,5 @@ type bug =
           TL2). *)
 
 val bug_name : bug -> string
-val bug_of_string : string -> bug option
-val set_bug : bug option -> unit
 val bug_active : bug -> bool
 val with_bug : bug option -> (unit -> 'a) -> 'a

@@ -33,9 +33,6 @@ type 'r verdict = { rows : 'r option array; failures : failure list }
 val ok : 'r verdict -> bool
 (** No failures — every row present. *)
 
-val default_timeout : float
-(** Per-attempt timeout in seconds (600). *)
-
 val map :
   ?jobs:int ->
   ?timeout:float ->
@@ -51,7 +48,7 @@ val map :
 
     [f] must be deterministic and its result [Marshal]-safe (pure data).
     A worker that crashes or exceeds [timeout] seconds (default
-    {!default_timeout}) is requeued up to [retries] (default 2) extra
+    600) is requeued up to [retries] (default 2) extra
     attempts; a job whose [f] raises fails permanently without retry (the
     failure is deterministic).  [on_progress] fires in the parent on every
     job lifecycle event — completion order, so nondeterministic: route it

@@ -34,12 +34,6 @@ let kind_index = function Crash -> 0 | Hang -> 1 | Oom -> 2
 let n_kinds = 3
 let kind_name = function Crash -> "crash" | Hang -> "hang" | Oom -> "oom"
 
-let kind_of_string = function
-  | "crash" -> Some Crash
-  | "hang" -> Some Hang
-  | "oom" -> Some Oom
-  | _ -> None
-
 exception Injected_crash of { tid : int; point : string }
 
 let () =
@@ -214,11 +208,6 @@ let fired () = match !state with Some p -> Atomic.get p.fired | None -> 0
 let decisions () =
   match !state with
   | Some p -> Array.fold_left (fun a d -> a + Atomic.get d) 0 p.decisions
-  | None -> 0
-
-let fired_kind k =
-  match !state with
-  | Some p -> Atomic.get p.fired_kind.(kind_index k)
   | None -> 0
 
 let summary () =

@@ -30,7 +30,6 @@ val point_name : point -> string
 type kind = Crash | Hang | Oom
 
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
 
 exception Injected_crash of { tid : int; point : string }
 (** The worker-death model: raised from inside a transaction, it unwinds
@@ -98,5 +97,4 @@ val clear_ticks : unit -> unit
 val seed : unit -> int option
 val fired : unit -> int
 val decisions : unit -> int
-val fired_kind : kind -> int
 val summary : unit -> string

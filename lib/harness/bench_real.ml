@@ -48,9 +48,6 @@ type protocol = {
   observe : bool;
 }
 
-let default_protocol =
-  { duration_s = 0.2; warmup_s = 0.05; reps = 3; observe = false }
-
 type integrity = {
   ops_total : int;
   commits_total : int;

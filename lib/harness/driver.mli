@@ -92,9 +92,6 @@ module Make
     on_period : int -> float -> Tstm_tm.Tm_stats.t -> unit;
   }
 
-  val obs_columns : string list
-  (** Column names of the per-period metrics recorded under a collector. *)
-
   val run :
     ?control:control ->
     ?collector:Tstm_obs.Sink.collector ->

@@ -26,7 +26,6 @@ val structure_refs : Parsetree.structure -> ref_ list
     order, with precise locations. *)
 
 val signature_refs : Parsetree.signature -> ref_ list
-val expr_refs : Parsetree.expression -> ref_ list
 
 type fn = {
   fn_name : string;

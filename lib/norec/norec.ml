@@ -144,7 +144,13 @@ module Make (R : Tstm_runtime.Runtime_intf.S) = struct
       R.get (V.words t.mem) addr
     end
     else
-      match if d.read_only then None else Redo.find d.x.w addr with
+      (* Two read phases: until the first write the log is empty and
+         cannot hold [addr], so the lookup (and its filter charge) is
+         skipped; the emptiness test reads only this descriptor. *)
+      match
+        if d.read_only || Redo.is_empty d.x.w then None
+        else Redo.find d.x.w addr
+      with
       | Some k ->
           d.stats.Stats.reads <- d.stats.Stats.reads + 1;
           Redo.value d.x.w k

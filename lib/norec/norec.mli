@@ -12,7 +12,8 @@
       number instead of aborting (the NOrec analogue of LSA's snapshot
       extension, capability [snapshot_extension = true]);
     - redo-log writes with a Bloom-filter read-after-write fast reject
-      (same write-set shape as TL2);
+      (same write-set shape as TL2); a read consults the log only after
+      the transaction's first write;
     - commit: transactions with an empty write set commit lock-free;
       writers CAS the sequence lock from their snapshot value to odd,
       write back, and publish [snapshot + 2].  A failed CAS means someone

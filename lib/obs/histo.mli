@@ -8,8 +8,6 @@
 
 type t
 
-val nbuckets : int
-
 val create : unit -> t
 val clear : t -> unit
 

@@ -25,8 +25,6 @@ type verdict =
           [Capacity]) after exhausting its fault-retry budget *)
   | Tripped  (** rejected at admission by an open circuit breaker *)
 
-val verdict_to_string : verdict -> string
-
 type t
 
 val create : unit -> t
@@ -61,9 +59,6 @@ type summary = {
 }
 
 val summary : t -> summary
-
-val summary_to_json : summary -> Json.t
-(** Deterministic object export (insertion-ordered members). *)
 
 val columns : string list
 (** Per-period CSV columns for {!Metrics}: period index, end time,

@@ -91,10 +91,6 @@ val arm : ?max_findings:int -> ncpus:int -> unit -> unit
     CPUs at or above it are ignored).  At most [max_findings] (default 64)
     findings are retained; later ones are counted but dropped. *)
 
-val disarm : unit -> unit
-(** Stop checking and uninstall the tap.  The findings of the last armed
-    scope remain readable. *)
-
 val with_armed :
   ?max_findings:int -> ncpus:int -> (unit -> 'a) -> 'a * finding list
 (** [with_armed ~ncpus f] runs [f] armed and returns its result with the

@@ -17,15 +17,9 @@ type abort_reason =
           bounded number of consecutive failures *)
 
 val abort_reason_to_string : abort_reason -> string
-val all_abort_reasons : abort_reason list
 
 val retry_hist_buckets : int
 (** Number of log2 buckets in {!t.retry_hist} (16). *)
-
-val retry_bucket : int -> int
-(** [retry_bucket retries] maps a per-transaction retry count to its
-    histogram bucket: bucket 0 is first-try commits, bucket [k >= 1] covers
-    [\[2^(k-1), 2^k)], saturating in the last bucket. *)
 
 (** One thread's counters.  Mutable, owned by a single thread; aggregate with
     {!add_into} after the threads have quiesced. *)
@@ -62,7 +56,8 @@ type t = {
       (** contention-manager policy switches forced by the watchdog *)
   retry_hist : int array;
       (** per-commit retry-count histogram over {!retry_hist_buckets} log2
-          buckets; see {!retry_bucket} *)
+          buckets: bucket 0 is first-try commits, bucket [k >= 1] covers
+          [\[2^(k-1), 2^k)] retries, saturating in the last bucket *)
 }
 
 val create : unit -> t
@@ -84,11 +79,7 @@ val copy : t -> t
 
 (** {1 Derived ratios} — [0.] whenever the denominator is zero. *)
 
-val abort_rate_pct : t -> float
-(** Aborts as a percentage of all attempts (commits + aborts). *)
-
 val reads_per_commit : t -> float
-val writes_per_commit : t -> float
 
 (** {1 Machine-readable export} *)
 

@@ -304,7 +304,7 @@ let escalation_pins =
     ("tinystm-wb", "escalations=473 992d24e265e4b123c9905b252a588ffc");
     ("tinystm-wt", "escalations=481 339bdecc5f7af003a1ad6cc03f63f58f");
     ("tl2", "escalations=615 026f35f797a1cb00e17f930fb8be8222");
-    ("norec", "escalations=6 d93e50033fe092eda86fe380e0cf2a7a");
+    ("norec", "escalations=3 ee7f7a6305673387dfaf4f19caaaa9cf");
   ]
 
 (* Storm reports of each registry STM under suicide with the watchdog
@@ -338,7 +338,7 @@ let storm_pins =
     ("tinystm-wb", "809efdbad782e5eb4f83929d2ac4a593");
     ("tinystm-wt", "2dbd337906e7080f83084e3746672057");
     ("tl2", "31413a3c5e33a800229b38495b645fe1");
-    ("norec", "6d205368acb13fa96da45a33725c796e");
+    ("norec", "6182e7be32930bc02b2cb94b76614589");
   ]
 
 (* TinySTM with a tiny clock: concurrent transactions roll the clock over
@@ -428,7 +428,7 @@ let one_thread_pins =
     ("tinystm-wb", "bb6f21dddb2a2a2f7d7a6712b14ab07f");
     ("tinystm-wt", "719e0c333533418c930940547c69f194");
     ("tl2", "60dec07bb091b16203d83040d7129bea");
-    ("norec", "b5ab7e345fd931615026f26cc5851e97");
+    ("norec", "e51a5f170e56b8679f8a405824b61699");
   ]
 
 (* The repository benchmark's two contended points at seed 42 under the
@@ -448,7 +448,7 @@ let sim_paper_pins =
     ("tinystm-wb", "2b7ccf2ea6fa683dec7f3a88e5a638c3");
     ("tinystm-wt", "b8e1339eaae1c420488c8c1b210ca7af");
     ("tl2", "295438bef88b7330abce7a5ca0efc9dd");
-    ("norec", "af332ca9116813dc0a87bee9fad40554");
+    ("norec", "059952ddc7b42011fe57aa8fafbfcfd2");
   ]
 
 let list_conflict_runs =
@@ -462,7 +462,7 @@ let list_conflict_pins =
     ("tinystm-wb", "e4c5b0cfcd8fda81c3cd4ecee9154d08");
     ("tinystm-wt", "daec1ed3649ea42f1ffc533c7c16d7a0");
     ("tl2", "c81eb3244e4cafb3d416314d1c915533");
-    ("norec", "a3eb1de73fe843dcf11be199a2945340");
+    ("norec", "0a29e2fc5fd684c9b10cf91d18ef55a2");
   ]
 
 (* ------------------------------------------------------------------ *)
